@@ -8,10 +8,14 @@ flags and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -46,21 +50,41 @@ def _parse_sign(text: str) -> int:
     raise CliError(f"expected +1 or -1, got {text!r}")
 
 
-def _check_format(fmt: str, allowed: Sequence[str]) -> None:
-    if fmt not in allowed:
-        raise CliError(f"format {fmt!r} is not available here; choose from {', '.join(allowed)}")
-
-
 def _emit(text: str, out_path: str | None) -> None:
+    """Write to stdout, or replace ``out_path`` whole: no reader sees half a file."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        return
+    target = os.path.realpath(out_path)  # through symlinks, as open() writes
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            # a device or pipe such as /dev/null: replacing it would remove it
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _emit_records(play: Callable, out_path: str | None) -> int:
+    """Run ``play`` and emit its trial records, one JSON object per line."""
+    buf = io.StringIO()
+    play(record_sink=lambda rec: buf.write(json.dumps(rec.to_json_dict()) + "\n"))
+    _emit(buf.getvalue(), out_path)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -142,37 +166,22 @@ def _lhv_text(report) -> str:
 
 
 def cmd_game(args) -> int:
-    _check_format(args.format, ("text", "json", "jsonl"))
     if args.strategy == "lhv":
         if args.eta != 1.0:
             raise CliError("the lhv strategy has its own detection model; --eta does not apply")
-        if args.format == "jsonl":
-            raise CliError("jsonl output is not available for the lhv strategy")
-        report = lhv.lhv_statistics(args.trials, args.seed)
-        _emit(
-            _lhv_text(report) if args.format == "text" else _json_dumps(report.to_json_dict()),
-            args.out,
-        )
-        return 0
-    strategy = _make_strategy(args)
-    theory = _theory_for(args, strategy)
-    if args.eta != 1.0:
-        strategy = game.apply_detection(strategy, EfficiencyModel(args.eta))
+        play = functools.partial(lhv.lhv_statistics, args.trials, args.seed)
+        as_text = _lhv_text
+    else:
+        strategy = _make_strategy(args)
+        theory = _theory_for(args, strategy)
+        if args.eta != 1.0:
+            strategy = game.apply_detection(strategy, EfficiencyModel(args.eta))
+        play = functools.partial(game.run_experiment, strategy, args.trials, args.seed)
+        as_text = functools.partial(_report_text, theory=theory)
     if args.format == "jsonl":
-        buf = io.StringIO()
-        game.run_experiment(
-            strategy,
-            args.trials,
-            args.seed,
-            record_sink=lambda rec: buf.write(json.dumps(rec.to_json_dict()) + "\n"),
-        )
-        _emit(buf.getvalue(), args.out)
-        return 0
-    report = game.run_experiment(strategy, args.trials, args.seed)
-    _emit(
-        _report_text(report, theory) if args.format == "text" else _json_dumps(report.to_json_dict()),
-        args.out,
-    )
+        return _emit_records(play, args.out)
+    report = play()
+    _emit(as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict()), args.out)
     return 0
 
 
@@ -181,7 +190,6 @@ def cmd_game(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_format(args.format, ("csv", "text", "json"))
     grid = [float(g) for g in args.grid]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise CliError("grid values must lie in [0, 1]")
@@ -229,7 +237,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    _check_format(args.format, ("text", "json"))
     if args.which == "classical":
         if args.signs:
             raise CliError("the classical system takes no signs")
@@ -251,12 +258,7 @@ def cmd_prove(args) -> int:
         _emit(
             _json_dumps(
                 {
-                    "system": {
-                        "variables": list(system.variables),
-                        "constraints": [
-                            {"vars": list(c.vars), "target": c.target} for c in system.constraints
-                        ],
-                    },
+                    "system": dataclasses.asdict(system),
                     "result": parity.result_to_json_dict(result),
                     "drop_one": {str(k): parity.result_to_json_dict(v) for k, v in drops.items()},
                 }
@@ -273,18 +275,11 @@ def cmd_prove(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    _check_format(args.format, ("text", "json", "jsonl", "csv"))
     rule = teleport.derive_correction_rule()
+    play = functools.partial(teleport.run_trials, args.trials, args.seed)
     if args.format == "jsonl":
-        buf = io.StringIO()
-        teleport.run_trials(
-            args.trials,
-            args.seed,
-            record_sink=lambda rec: buf.write(json.dumps(rec.to_json_dict()) + "\n"),
-        )
-        _emit(buf.getvalue(), args.out)
-        return 0
-    summary = teleport.run_trials(args.trials, args.seed)
+        return _emit_records(play, args.out)
+    summary = play()
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -332,7 +327,6 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_elements(args) -> int:
-    _check_format(args.format, ("text", "json"))
     signs = [_parse_sign(s) for s in args.signs]
     if signs[0] * signs[1] * signs[2] != -1:
         raise CliError(
@@ -347,16 +341,7 @@ def cmd_elements(args) -> int:
             _json_dumps(
                 {
                     "post_outcomes": signs,
-                    "conditionals": [
-                        {
-                            "observable": e.observable.label(prepost.SITE_NAMES),
-                            "target": e.target,
-                            "expectation": e.expectation,
-                            "deterministic": e.deterministic,
-                            "measured_value": e.measured_value,
-                        }
-                        for e in conditionals.entries
-                    ],
+                    "conditionals": [prepost.labeled_json(e) for e in conditionals.entries],
                     "all_pairs_commute": conditionals.all_pairs_commute,
                     "product_rule": report.to_json_dict(),
                 }
@@ -476,7 +461,9 @@ def cmd_play(args) -> int:
 # parser wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves no state in it."""
     parser = _Parser(prog="ghzlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

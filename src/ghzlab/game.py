@@ -12,8 +12,9 @@ random stream, so no implementation can react to a teammate's question.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -170,6 +171,12 @@ class Strategy:
         raise NotImplementedError
 
 
+def _seat(answer: Callable[[int, Axis, RandomSource], "int | _NoDetection"]):
+    """Three players, each calling ``answer`` with its own site and question only."""
+    seat = functools.partial
+    return seat(answer, 0), seat(answer, 1), seat(answer, 2)
+
+
 class QuantumStrategy(Strategy):
     """Players share a fresh GHZ triple each round and measure their site.
 
@@ -183,14 +190,11 @@ class QuantumStrategy(Strategy):
     def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
         shared = [make_ghz()]
 
-        def player(site: int) -> Player:
-            def answer(question: Axis, prnd: RandomSource) -> int:
-                outcome, shared[0] = measure_pauli(shared[0], site, question, prnd)
-                return outcome
+        def answer(site: int, question: Axis, prnd: RandomSource) -> int:
+            outcome, shared[0] = measure_pauli(shared[0], site, question, prnd)
+            return outcome
 
-            return answer
-
-        return player(0), player(1), player(2)
+        return _seat(answer)
 
 
 def quantum_strategy() -> Strategy:
@@ -209,13 +213,10 @@ class TableStrategy(Strategy):
     def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
         table = self.table
 
-        def player(site: int) -> Player:
-            def answer(question: Axis, prnd: RandomSource) -> int:
-                return table.answer(site, question)
+        def answer(site: int, question: Axis, prnd: RandomSource) -> int:
+            return table.answer(site, question)
 
-            return answer
-
-        return player(0), player(1), player(2)
+        return _seat(answer)
 
 
 class RandomStrategy(Strategy):
@@ -231,18 +232,11 @@ class RandomStrategy(Strategy):
         return answer, answer, answer
 
 
-class FillRule(Enum):
-    """What a player reports when her detector stays silent."""
-
-    RANDOM_SIGN = "random_sign"
-
-
 @dataclass(frozen=True)
 class EfficiencyModel:
     """Independent per-player detection with probability ``eta``."""
 
     eta: float
-    fill_rule: FillRule = FillRule.RANDOM_SIGN
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -329,8 +323,12 @@ class TrialStreams:
         self._bgs = [np.random.Philox(key=0) for _ in range(n_roles)]
         self._gens = tuple(np.random.Generator(bg) for bg in self._bgs)
         self._states = [bg.state for bg in self._bgs]
-        for st in self._states:
+        for role, st in enumerate(self._states):
             st["state"]["key"][:] = key
+            st["state"]["counter"][:] = (0, role, 0, 0)
+            st["buffer_pos"] = 4  # mark the output buffer exhausted
+            st["has_uint32"] = 0
+            st["uinteger"] = 0
 
     def trial(self, index: int) -> tuple[int, tuple[RandomSource, ...]]:
         """Reset all roles onto trial ``index`` and return (trial_seed, generators).
@@ -341,14 +339,8 @@ class TrialStreams:
         """
         if index < 0:
             raise ValueError("trial index must be non-negative")
-        for role, (bg, st) in enumerate(zip(self._bgs, self._states)):
-            counter = st["state"]["counter"]
-            counter[0] = 0
-            counter[1] = role
-            counter[2] = index
-            st["buffer_pos"] = 4  # mark the output buffer exhausted
-            st["has_uint32"] = 0
-            st["uinteger"] = 0
+        for bg, st in zip(self._bgs, self._states):
+            st["state"]["counter"][2] = index  # the only word that differs between trials
             bg.state = st
         return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._gens
 
@@ -388,16 +380,79 @@ class ExperimentReport:
     master_seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "wins": self.wins,
-            "win_rate": self.win_rate,
-            "per_pattern_trials": self.per_pattern_trials,
-            "per_pattern_win_rates": self.per_pattern_win_rates,
-            "triple_detection_rate": self.triple_detection_rate,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
+
+
+class _Tally:
+    """Counts over the trials of one run, from which its report is built."""
+
+    def __init__(self):
+        self.trials = dict.fromkeys(PATTERNS, 0)
+        self.wins = dict.fromkeys(PATTERNS, 0)
+        self.detected_wins = dict.fromkeys(PATTERNS, 0)  # wins with all three detecting
+        self.detections = [0, 0, 0, 0]  # trials by the number of players detecting
+
+    def report_fields(self, wins: dict[QuestionPattern, int], master_seed: int) -> dict:
+        """The ``ExperimentReport`` fields, scoring ``wins`` per pattern."""
+        trials = sum(self.trials.values())
+        total = sum(wins.values())
+        return dict(
+            trials=trials,
+            wins=total,
+            win_rate=total / trials,
+            per_pattern_trials={p.value: self.trials[p] for p in PATTERNS},
+            per_pattern_win_rates={
+                p.value: (wins[p] / self.trials[p] if self.trials[p] else None) for p in PATTERNS
+            },
+            triple_detection_rate=self.detections[3] / trials,
+            master_seed=master_seed,
+        )
+
+
+def _play(
+    strategy: Strategy,
+    trials: int,
+    master_seed: int,
+    record_sink: Callable[[TrialRecord], None] | None,
+) -> _Tally:
+    """The one trial loop: play seeded rounds, tally them, pass records on."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    streams = TrialStreams(master_seed, 5)
+    tally = _Tally()
+    for i in range(trials):
+        trial_seed, gens = streams.trial(i)
+        players = strategy.setup(gens[_ROLE_SETUP])
+        pattern = draw_pattern(gens[_ROLE_REFEREE])
+        answers = []
+        detections = []
+        for player, question, prnd in zip(players, pattern.axes, gens[_ROLE_A:]):
+            reply = player(question, prnd)
+            if reply is NO_DETECTION:
+                detections.append(False)
+                answers.append(1 if prnd.random() < 0.5 else -1)
+            else:
+                detections.append(True)
+                answers.append(reply)
+        won = wins(pattern, answers)
+        detected = sum(detections)
+        tally.trials[pattern] += 1
+        tally.wins[pattern] += won
+        tally.detections[detected] += 1
+        if detected == 3:
+            tally.detected_wins[pattern] += won
+        if record_sink is not None:
+            record_sink(
+                TrialRecord(
+                    pattern=pattern,
+                    answers=tuple(answers),  # type: ignore[arg-type]
+                    detections=tuple(detections),  # type: ignore[arg-type]
+                    win=won,
+                    trial_index=i,
+                    seed=trial_seed,
+                )
+            )
+    return tally
 
 
 def run_experiment(
@@ -412,55 +467,5 @@ def run_experiment(
     own stream, and the failure is recorded in ``TrialRecord.detections``.
     Identical inputs produce an identical report.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    streams = TrialStreams(master_seed, 5)
-    win_count = 0
-    triple_detections = 0
-    pattern_trials = {p: 0 for p in PATTERNS}
-    pattern_wins = {p: 0 for p in PATTERNS}
-    for i in range(trials):
-        trial_seed, gens = streams.trial(i)
-        players = strategy.setup(gens[_ROLE_SETUP])
-        pattern = draw_pattern(gens[_ROLE_REFEREE])
-        axes = pattern.axes
-        answers = []
-        detections = []
-        for j, player in enumerate(players):
-            prnd = gens[_ROLE_A + j]
-            reply = player(axes[j], prnd)
-            if reply is NO_DETECTION:
-                detections.append(False)
-                answers.append(1 if prnd.random() < 0.5 else -1)
-            else:
-                detections.append(True)
-                answers.append(reply)
-        won = wins(pattern, answers)
-        win_count += won
-        triple_detections += all(detections)
-        pattern_trials[pattern] += 1
-        pattern_wins[pattern] += won
-        if record_sink is not None:
-            record_sink(
-                TrialRecord(
-                    pattern=pattern,
-                    answers=tuple(answers),  # type: ignore[arg-type]
-                    detections=tuple(detections),  # type: ignore[arg-type]
-                    win=won,
-                    trial_index=i,
-                    seed=trial_seed,
-                )
-            )
-    return ExperimentReport(
-        strategy=strategy.name,
-        trials=trials,
-        wins=win_count,
-        win_rate=win_count / trials,
-        per_pattern_trials={p.value: pattern_trials[p] for p in PATTERNS},
-        per_pattern_win_rates={
-            p.value: (pattern_wins[p] / pattern_trials[p] if pattern_trials[p] else None)
-            for p in PATTERNS
-        },
-        triple_detection_rate=triple_detections / trials,
-        master_seed=master_seed,
-    )
+    tally = _play(strategy, trials, master_seed, record_sink)
+    return ExperimentReport(strategy=strategy.name, **tally.report_fields(tally.wins, master_seed))

@@ -20,17 +20,21 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 from .game import (
     NO_DETECTION,
     PATTERNS,
+    ExperimentReport,
+    Player,
     QuestionPattern,
-    TrialStreams,
+    Strategy,
+    TrialRecord,
     _NoDetection,
-    draw_pattern,
-    wins,
+    _play,
+    _seat,
 )
-from .qsim import Axis
+from .qsim import Axis, RandomSource
 
 PLAYER_NAMES = ("A", "B", "C")
 _AXES = (Axis.X, Axis.Y)
@@ -72,6 +76,10 @@ class InstructionKit:
 
     def entry(self, player: int, axis: Axis) -> InstructionEntry:
         return self.entries[_slot(player, axis)]
+
+    def reply(self, player: int, axis: Axis) -> "int | _NoDetection":
+        sign = self.entry(player, axis).sign
+        return NO_DETECTION if sign is None else sign
 
     @property
     def silent_slot(self) -> tuple[int, Axis]:
@@ -141,95 +149,58 @@ def play_with_kit(
     """Per-player replies for a pattern: +1, -1, or NO_DETECTION."""
     if not kit_is_admissible(kit):
         raise ValueError("kit is not admissible")
-    replies = []
-    for player in range(3):
-        sign = kit.entry(player, pattern.axes[player]).sign
-        replies.append(NO_DETECTION if sign is None else sign)
-    return tuple(replies)
+    return tuple(kit.reply(player, pattern.axes[player]) for player in range(3))
+
+
+class KitStrategy(Strategy):
+    """Each round the triple carries one kit, drawn uniformly from ``kits``.
+
+    A player replies with the kit entry for the question asked, or stays
+    silent.  Kits carry their own detection model, so detection efficiency
+    does not apply to them.
+    """
+
+    name = "lhv-instruction-kits"
+
+    def __init__(self, kits: tuple[InstructionKit, ...] | None = None):
+        self.kits = enumerate_kits() if kits is None else kits
+        if not all(kit_is_admissible(kit) for kit in self.kits):
+            raise ValueError("kit is not admissible")
+
+    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
+        kit = self.kits[int(rnd.integers(len(self.kits)))]
+        return _seat(lambda site, question, prnd: kit.reply(site, question))
 
 
 @dataclass(frozen=True)
-class LhvReport:
-    strategy: str
-    trials: int
-    wins: int
-    win_rate: float
-    per_pattern_trials: dict[str, int]
-    per_pattern_win_rates: dict[str, float | None]
-    triple_detection_rate: float
-    master_seed: int
+class LhvReport(ExperimentReport):
+    """An experiment report that scores only runs in which all three detect."""
+
     conditional_win_rate: float | None
     single_detections: int
     null_detections: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "wins": self.wins,
-            "win_rate": self.win_rate,
-            "per_pattern_trials": self.per_pattern_trials,
-            "per_pattern_win_rates": self.per_pattern_win_rates,
-            "triple_detection_rate": self.triple_detection_rate,
-            "master_seed": self.master_seed,
-            "conditional_win_rate": self.conditional_win_rate,
-            "single_detections": self.single_detections,
-            "null_detections": self.null_detections,
-        }
 
 
 def lhv_statistics(
     trials: int,
     master_seed: int,
     kits: tuple[InstructionKit, ...] | None = None,
+    record_sink: Callable[[TrialRecord], None] | None = None,
 ) -> LhvReport:
-    """Sample (kit, pattern) pairs independently and tally detections.
+    """Play instruction kits against the referee and tally detections.
 
     A run counts as a win only when all three players answer and the
     answer product hits the pattern target.  ``kits`` defaults to the full
     admissible family, sampled uniformly.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if kits is None:
-        kits = enumerate_kits()
-    streams = TrialStreams(master_seed, 2)
-    win_count = 0
-    triple = 0
-    singles = 0
-    nulls = 0
-    pattern_trials = {p: 0 for p in PATTERNS}
-    pattern_wins = {p: 0 for p in PATTERNS}
-    for i in range(trials):
-        _, (referee, kit_rnd) = streams.trial(i)
-        pattern = draw_pattern(referee)
-        kit = kits[int(kit_rnd.integers(len(kits)))]
-        replies = play_with_kit(kit, pattern)
-        detected = [r is not NO_DETECTION for r in replies]
-        n_detected = sum(detected)
-        pattern_trials[pattern] += 1
-        if n_detected == 3:
-            triple += 1
-            won = wins(pattern, replies)  # type: ignore[arg-type]
-            win_count += won
-            pattern_wins[pattern] += won
-        elif n_detected == 1:
-            singles += 1
-        elif n_detected == 0:
-            nulls += 1
+    strategy = KitStrategy(kits)
+    tally = _play(strategy, trials, master_seed, record_sink)
+    wins = sum(tally.detected_wins.values())
+    triple = tally.detections[3]
     return LhvReport(
-        strategy="lhv-instruction-kits",
-        trials=trials,
-        wins=win_count,
-        win_rate=win_count / trials,
-        per_pattern_trials={p.value: pattern_trials[p] for p in PATTERNS},
-        per_pattern_win_rates={
-            p.value: (pattern_wins[p] / pattern_trials[p] if pattern_trials[p] else None)
-            for p in PATTERNS
-        },
-        triple_detection_rate=triple / trials,
-        master_seed=master_seed,
-        conditional_win_rate=(win_count / triple if triple else None),
-        single_detections=singles,
-        null_detections=nulls,
+        strategy=strategy.name,
+        **tally.report_fields(tally.detected_wins, master_seed),
+        conditional_win_rate=(wins / triple if triple else None),
+        single_detections=tally.detections[1],
+        null_detections=tally.detections[0],
     )

@@ -89,9 +89,6 @@ class Unsat:
         return False
 
 
-SolveResult = "Sat | Unsat"
-
-
 def _constraint_rows(system: ParitySystem) -> tuple[list[int], list[int]]:
     """Bit rows over variables (bit j = variables[j]) and target bits."""
     pos = {name: j for j, name in enumerate(system.variables)}

@@ -22,7 +22,7 @@ do not multiply: the product rule fails for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -138,6 +138,11 @@ def abl_distribution(ens: PrePostEnsemble, obs: ProductObservable) -> AblDistrib
     return AblDistribution(obs, {o: weights[o] / total for o in (1, -1)})
 
 
+def labeled_json(item) -> dict:
+    """A dataclass's JSON fields, with its ``observable`` written as a label."""
+    return {**asdict(item), "observable": item.observable.label(SITE_NAMES)}
+
+
 @dataclass(frozen=True)
 class ElementOfReality:
     """An intermediate observable whose value is inferable with certainty."""
@@ -170,8 +175,8 @@ class ConditionalEntry:
     observable: ProductObservable
     target: int
     expectation: float
-    measured_value: int
     deterministic: bool
+    measured_value: int
 
     @property
     def matches_target(self) -> bool:
@@ -242,14 +247,7 @@ class ProductRuleReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "pairwise_elements": [
-                {
-                    "observable": e.observable.label(SITE_NAMES),
-                    "value": e.value,
-                    "certainty": e.certainty,
-                }
-                for e in self.pairwise
-            ],
+            "pairwise_elements": [labeled_json(e) for e in self.pairwise],
             "pairwise_product": self.pairwise_product,
             "six_factor_observable": self.six_factor_element.observable.label(SITE_NAMES),
             "six_factor_value": self.six_factor_element.value,

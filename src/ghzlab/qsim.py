@@ -317,20 +317,39 @@ def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
 # Measurement and projection
 
 
-def _pick_branch(rnd: RandomSource, p_plus: float) -> int:
-    """Sample +1/-1 by the Born rule, clamping numerically dead branches."""
-    p_minus = 1.0 - p_plus
-    if p_plus < MIN_BRANCH_PROB and p_minus < MIN_BRANCH_PROB:
-        raise RuntimeError("both measurement branches have zero probability")
-    if p_plus < MIN_BRANCH_PROB:
-        return -1
-    if p_minus < MIN_BRANCH_PROB:
-        return 1
-    return 1 if rnd.random() < p_plus else -1
+_OUTCOMES = (1, -1)
+_BELL_ORDER = tuple(BellIndex)
+
+
+def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
+    """Index of a branch sampled by the Born rule, skipping numerically dead ones.
+
+    A lone live branch is taken without a draw; a draw landing on the
+    rounding gap past the last cumulative weight takes the last live branch.
+    """
+    live = []
+    total = 0.0
+    for k, w in enumerate(weights):
+        if w >= MIN_BRANCH_PROB:
+            live.append(k)
+            total += w
+    if len(live) < 2:
+        if not live:
+            raise RuntimeError("every measurement branch has zero probability")
+        return live[0]
+    u = rnd.random() * total
+    acc = 0.0
+    for k in live:
+        acc += weights[k]
+        if u < acc:
+            return k
+    return live[-1]
 
 
 def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
     """Overlap field <outcome eigenstate|psi> over the remaining sites."""
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} out of range for {n} sites")
     i0, i1 = _site_split(n, site)
     a0 = amps[i0]
     a1 = amps[i1]
@@ -343,7 +362,7 @@ def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int)
 
 def _site_collapse(
     n: int, site: int, axis: Axis, outcome: int, coeff: np.ndarray, prob: float
-) -> np.ndarray:
+) -> StateVector:
     """Rebuild the full renormalized state from an overlap field."""
     i0, i1 = _site_split(n, site)
     v0, v1 = _EIGVEC[(axis, outcome)]
@@ -353,7 +372,7 @@ def _site_collapse(
         out[i0] = (v0 * inv) * coeff
     if v1:
         out[i1] = (v1 * inv) * coeff
-    return out
+    return StateVector._renormalized(n, out)
 
 
 def measure_pauli(
@@ -365,16 +384,12 @@ def measure_pauli(
     state.  The input state is not modified.
     """
     n = state.num_sites
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} sites")
     c_plus = _site_overlap(state.amps, n, site, axis, 1)
     p_plus = float(np.vdot(c_plus, c_plus).real)
-    outcome = _pick_branch(rnd, p_plus)
-    if outcome == 1:
-        coeff, prob = c_plus, p_plus
-    else:
-        coeff, prob = _site_overlap(state.amps, n, site, axis, -1), 1.0 - p_plus
-    return outcome, StateVector._renormalized(n, _site_collapse(n, site, axis, outcome, coeff, prob))
+    weights = (p_plus, 1.0 - p_plus)
+    k = _pick(rnd, weights)
+    coeff = c_plus if k == 0 else _site_overlap(state.amps, n, site, axis, -1)
+    return _OUTCOMES[k], _site_collapse(n, site, axis, _OUTCOMES[k], coeff, weights[k])
 
 
 def pauli_project(
@@ -388,13 +403,18 @@ def pauli_project(
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     n = state.num_sites
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} sites")
     coeff = _site_overlap(state.amps, n, site, axis, outcome)
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    return p, StateVector._renormalized(n, _site_collapse(n, site, axis, outcome, coeff, p))
+    return p, _site_collapse(n, site, axis, outcome, coeff, p)
+
+
+def _product_branch(state: StateVector, obs: ProductObservable, outcome: int) -> np.ndarray:
+    """Unnormalized projection (I + outcome*O)/2 of the state."""
+    if obs.max_site >= state.num_sites:
+        raise ValueError(f"observable site {obs.max_site} out of range")
+    return 0.5 * (state.amps + outcome * _apply_factors(state.amps, state.num_sites, obs.factors))
 
 
 def measure_product(
@@ -404,18 +424,12 @@ def measure_product(
 
     Projects onto the degenerate eigenspaces (I + o*O)/2 and renormalizes.
     """
-    n = state.num_sites
-    if obs.max_site >= n:
-        raise ValueError(f"observable site {obs.max_site} out of range")
-    o_amps = _apply_factors(state.amps, n, obs.factors)
-    w_plus = 0.5 * (state.amps + o_amps)
+    w_plus = _product_branch(state, obs, 1)
     p_plus = float(np.vdot(w_plus, w_plus).real)
-    outcome = _pick_branch(rnd, p_plus)
-    if outcome == 1:
-        collapsed = w_plus / math.sqrt(p_plus)
-    else:
-        collapsed = (state.amps - w_plus) / math.sqrt(1.0 - p_plus)
-    return outcome, StateVector(n, collapsed, copy=False)
+    weights = (p_plus, 1.0 - p_plus)
+    k = _pick(rnd, weights)
+    w = w_plus if k == 0 else state.amps - w_plus
+    return _OUTCOMES[k], StateVector(state.num_sites, w / math.sqrt(weights[k]), copy=False)
 
 
 def product_project(
@@ -424,15 +438,11 @@ def product_project(
     """Probability of a product-observable outcome and the collapsed state."""
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    n = state.num_sites
-    if obs.max_site >= n:
-        raise ValueError(f"observable site {obs.max_site} out of range")
-    o_amps = _apply_factors(state.amps, n, obs.factors)
-    w = 0.5 * (state.amps + outcome * o_amps)
+    w = _product_branch(state, obs, outcome)
     p = float(np.vdot(w, w).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    return p, StateVector(n, w / math.sqrt(p), copy=False)
+    return p, StateVector(state.num_sites, w / math.sqrt(p), copy=False)
 
 
 def expectation_product(state: StateVector, obs: ProductObservable) -> float:
@@ -444,10 +454,8 @@ def expectation_product(state: StateVector, obs: ProductObservable) -> float:
     return float(value.real)
 
 
-def bell_project(
-    state: StateVector, s1: int, s2: int, which: BellIndex
-) -> tuple[float, StateVector | None]:
-    """Probability of one Bell outcome on sites (s1, s2) and the collapse."""
+def _bell_overlap(state: StateVector, s1: int, s2: int, which: BellIndex) -> np.ndarray:
+    """Overlap field <Bell state of (s1, s2)|psi> over the remaining sites."""
     n = state.num_sites
     if s1 == s2:
         raise ValueError("Bell measurement needs two distinct sites")
@@ -455,41 +463,40 @@ def bell_project(
         raise ValueError(f"sites ({s1}, {s2}) out of range for {n} sites")
     groups = _pair_split(n, s1, s2)
     v = _BELL_COMPONENTS[which]
-    coeff = sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
+    return sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
+
+
+def bell_project(
+    state: StateVector, s1: int, s2: int, which: BellIndex
+) -> tuple[float, StateVector | None]:
+    """Probability of one Bell outcome on sites (s1, s2) and the collapse."""
+    coeff = _bell_overlap(state, s1, s2, which)
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
+    groups = _pair_split(state.num_sites, s1, s2)
+    v = _BELL_COMPONENTS[which]
     coeff = coeff / math.sqrt(p)
     out = np.zeros_like(state.amps)
     for q in range(4):
         if v[q] != 0:
             out[groups[q]] = v[q] * coeff
-    return p, StateVector(n, out, copy=False)
+    return p, StateVector(state.num_sites, out, copy=False)
 
 
 def bell_measure(
     state: StateVector, s1: int, s2: int, rnd: RandomSource
 ) -> tuple[BellIndex, StateVector]:
-    """Projective measurement in the Bell basis of sites (s1, s2)."""
-    branches = []
-    total = 0.0
-    for which in BellIndex:
-        p, collapsed = bell_project(state, s1, s2, which)
-        branches.append((which, p, collapsed))
-        total += p
-    u = rnd.random() * total
-    acc = 0.0
-    for which, p, collapsed in branches:
-        if collapsed is None:
-            continue
-        acc += p
-        if u < acc:
-            return which, collapsed
-    # numerically possible only when u lands on the trailing rounding gap
-    for which, p, collapsed in reversed(branches):
-        if collapsed is not None:
-            return which, collapsed
-    raise RuntimeError("all Bell branches have zero probability")
+    """Projective measurement in the Bell basis of sites (s1, s2).
+
+    Every branch is weighed, but only the sampled one is collapsed.
+    """
+    weights = []
+    for which in _BELL_ORDER:
+        coeff = _bell_overlap(state, s1, s2, which)
+        weights.append(float(np.vdot(coeff, coeff).real))
+    which = _BELL_ORDER[_pick(rnd, weights)]
+    return which, bell_project(state, s1, s2, which)[1]
 
 
 def joint_distribution(

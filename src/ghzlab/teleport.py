@@ -22,7 +22,7 @@ conventions by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -195,25 +195,15 @@ class TeleportSummary:
     bell_histogram: dict[tuple[BellIndex, BellIndex, BellIndex], int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "per_pattern": {
-                name: {
-                    "trials": r.trials,
-                    "corrected_success_rate": r.corrected_success_rate,
-                    "raw_success_rate": r.raw_success_rate,
-                }
-                for name, r in self.per_pattern.items()
-            },
-            "corrected_success_rate": self.corrected_success_rate,
-            "raw_success_rate": self.raw_success_rate,
-            "bell_histogram": {
-                ",".join(b.value for b in key): count
-                for key, count in sorted(
-                    self.bell_histogram.items(), key=lambda kv: [b.value for b in kv[0]]
-                )
-            },
+        data = asdict(self)
+        # JSON keys are strings: "phi_plus,psi_minus,phi_minus", in sorted order
+        data["bell_histogram"] = {
+            ",".join(b.value for b in key): count
+            for key, count in sorted(
+                self.bell_histogram.items(), key=lambda kv: [b.value for b in kv[0]]
+            )
         }
+        return data
 
 
 def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:

@@ -4,11 +4,29 @@ Everything here builds full 2**n x 2**n operator matrices with np.kron and
 evaluates probabilities and expectations by plain linear algebra.  The
 package itself never forms full operator matrices, so agreement between
 the two routes is a meaningful check.
+
+The reference samplers at the end are the exception: they are the package's
+sampling measurements in their earlier, separately written form, kept so
+that seeded runs of the package can be compared with them exactly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ghzlab.qsim import (
+    _BELL_COMPONENTS,
+    _EIGVEC,
+    MIN_BRANCH_PROB,
+    BellIndex,
+    StateVector,
+    _apply_factors,
+    _pair_split,
+    _site_overlap,
+    _site_split,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -137,3 +155,104 @@ def random_state(n: int, seed: int) -> np.ndarray:
 
 def binomial_4sigma(p: float, n: int) -> float:
     return 4.0 * np.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+# ---------------------------------------------------------------------------
+# Reference samplers
+#
+# The package's sampling measurements as they were written before sampling
+# and projection shared one branch picker: a two-branch Born pick for Pauli
+# and product measurements, and a Bell measurement that builds all four
+# collapsed states and keeps one.  Seeded-equality tests compare the package
+# against these, outcome by outcome, amplitude by amplitude and draw by draw.
+# They reuse the package's index and single-site overlap kernels, so what
+# they pin down is the branch choice, the draws taken and the collapse.
+
+
+def ref_pick_branch(rnd, p_plus: float) -> int:
+    """Sample +1/-1 by the Born rule, clamping numerically dead branches."""
+    p_minus = 1.0 - p_plus
+    if p_plus < MIN_BRANCH_PROB and p_minus < MIN_BRANCH_PROB:
+        raise RuntimeError("both measurement branches have zero probability")
+    if p_plus < MIN_BRANCH_PROB:
+        return -1
+    if p_minus < MIN_BRANCH_PROB:
+        return 1
+    return 1 if rnd.random() < p_plus else -1
+
+
+def _ref_site_collapse(n, site, axis, outcome, coeff, prob) -> np.ndarray:
+    i0, i1 = _site_split(n, site)
+    v0, v1 = _EIGVEC[(axis, outcome)]
+    inv = 1.0 / math.sqrt(prob)
+    out = np.zeros(1 << n, dtype=complex)
+    if v0:
+        out[i0] = (v0 * inv) * coeff
+    if v1:
+        out[i1] = (v1 * inv) * coeff
+    return out
+
+
+def ref_measure_pauli(state, site, axis, rnd):
+    n = state.num_sites
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} out of range for {n} sites")
+    c_plus = _site_overlap(state.amps, n, site, axis, 1)
+    p_plus = float(np.vdot(c_plus, c_plus).real)
+    outcome = ref_pick_branch(rnd, p_plus)
+    if outcome == 1:
+        coeff, prob = c_plus, p_plus
+    else:
+        coeff, prob = _site_overlap(state.amps, n, site, axis, -1), 1.0 - p_plus
+    return outcome, StateVector._renormalized(n, _ref_site_collapse(n, site, axis, outcome, coeff, prob))
+
+
+def ref_measure_product(state, obs, rnd):
+    n = state.num_sites
+    o_amps = _apply_factors(state.amps, n, obs.factors)
+    w_plus = 0.5 * (state.amps + o_amps)
+    p_plus = float(np.vdot(w_plus, w_plus).real)
+    outcome = ref_pick_branch(rnd, p_plus)
+    if outcome == 1:
+        collapsed = w_plus / math.sqrt(p_plus)
+    else:
+        collapsed = (state.amps - w_plus) / math.sqrt(1.0 - p_plus)
+    return outcome, StateVector(n, collapsed, copy=False)
+
+
+def ref_bell_project(state, s1, s2, which):
+    n = state.num_sites
+    groups = _pair_split(n, s1, s2)
+    v = _BELL_COMPONENTS[which]
+    coeff = sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
+    p = float(np.vdot(coeff, coeff).real)
+    if p < MIN_BRANCH_PROB:
+        return 0.0, None
+    coeff = coeff / math.sqrt(p)
+    out = np.zeros_like(state.amps)
+    for q in range(4):
+        if v[q] != 0:
+            out[groups[q]] = v[q] * coeff
+    return p, StateVector(n, out, copy=False)
+
+
+def ref_bell_measure(state, s1, s2, rnd):
+    """Builds every collapsed branch and always draws, even for one live branch."""
+    branches = []
+    total = 0.0
+    for which in BellIndex:
+        p, collapsed = ref_bell_project(state, s1, s2, which)
+        branches.append((which, p, collapsed))
+        total += p
+    u = rnd.random() * total
+    acc = 0.0
+    for which, p, collapsed in branches:
+        if collapsed is None:
+            continue
+        acc += p
+        if u < acc:
+            return which, collapsed
+    for which, p, collapsed in reversed(branches):
+        if collapsed is not None:
+            return which, collapsed
+    raise RuntimeError("all Bell branches have zero probability")

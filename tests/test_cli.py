@@ -81,6 +81,18 @@ def test_game_lhv(capsys):
     assert report["single_detections"] == 0
 
 
+def test_game_lhv_jsonl_matches_json_wins(capsys):
+    args = ("game", "--strategy", "lhv", "--trials", "3000", "--seed", "11")
+    code, out, _ = run_cli(capsys, *args, "--format", "jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 3000
+    detected_wins = sum(rec["win"] for rec in records if all(rec["detections"]))
+    _, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert json.loads(out)["wins"] == detected_wins
+    assert all(sum(rec["detections"]) >= 2 for rec in records)
+
+
 def test_game_lhv_rejects_eta(capsys):
     code, _, err = run_cli(capsys, "game", "--strategy", "lhv", "--eta", "0.9")
     assert code == 1
@@ -242,12 +254,41 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["trials"] == 100
 
 
-def test_invalid_inputs_exit_one(capsys):
+def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "game", "--trials", "0")[0] == 1
+    assert run_cli(capsys, "game", "--trials", "10", "--out", str(tmp_path / "no" / "x.json"))[0] == 1
     assert run_cli(capsys, "game", "--eta", "2")[0] == 1
     assert run_cli(capsys, "game", "--seed", "-1")[0] == 1
     assert run_cli(capsys, "game", "--strategy", "nope")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
+
+
+def test_out_writes_through_symlink(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    link = tmp_path / "latest.json"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "game", "--trials", "10", "--format", "json", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["trials"] == 10
+
+
+def test_failed_write_leaves_existing_output(tmp_path, capsys, monkeypatch):
+    import ghzlab.cli as cli_module
+
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_module.os, "replace", full_disk)
+    code, _, err = run_cli(capsys, "game", "--trials", "10", "--out", str(target))
+    assert code == 1
+    assert "No space left on device" in err
+    assert target.read_text() == "earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_help_exits_zero(capsys):

@@ -327,3 +327,31 @@ def test_trial_streams_validation():
         TrialStreams(-1, 2)
     with pytest.raises(ValueError):
         TrialStreams(0, 2).trial(-1)
+
+
+# First draws of TrialStreams(seed, 5).trial(index) for one role, as hex
+# floats, then a bounded integer, and the trial's seed label.  Seeded outputs
+# rest on TrialStreams writing numpy's private Philox state, so a numpy
+# release that changes that layout must fail here rather than silently
+# change every report.
+KNOWN_DRAWS = (
+    (0, 0, 0, 0xDB2CD7E7B0F478BE,
+     ("0x1.ccf2d9115c140p-7", "0x1.07f42307c03cep-2", "0x1.e2e209058bb92p-2"), 29),
+    (1, 1, 7, 0x34A9DAF7166EF56C,
+     ("0x1.ac8498b4730c0p-4", "0x1.4ec849dfb911cp-3", "0x1.3bdf511e80901p-1"), 1),
+    (2024, 4, 99_999, 0x8B62256A4F26B50A,
+     ("0x1.7a7fc28961ca8p-3", "0x1.f9c504ba75125p-1", "0x1.ea45b5f33239ep-2"), 16),
+    (2**40 + 3, 2, 5, 0x430DA928DA32189D,
+     ("0x1.19054006e9934p-3", "0x1.7fde1805cb966p-2", "0x1.4be2ea8f74fe8p-4"), 46),
+)
+
+
+@pytest.mark.parametrize("seed, role, index, label, floats, integer", KNOWN_DRAWS)
+def test_trial_streams_known_answers(seed, role, index, label, floats, integer):
+    streams = TrialStreams(seed, 5)
+    for gen in streams.trial(index + 1)[1]:  # leave another trial's state behind first
+        gen.random()
+    got_label, gens = streams.trial(index)
+    assert got_label == label
+    assert [gens[role].random() for _ in floats] == [float.fromhex(h) for h in floats]
+    assert int(gens[role].integers(48)) == integer

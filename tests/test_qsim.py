@@ -443,3 +443,85 @@ def test_pauli_eigenstate_measures_to_its_sign():
         for sign in (1, -1):
             state = pauli_eigenstate(axis, sign)
             assert measure_pauli(state, 0, axis, rnd)[0] == sign
+
+
+# ---------------------------------------------------------------------------
+# seeded equality with the reference samplers
+
+
+def structured_state(kind: str, n: int, seed: int) -> StateVector:
+    """A random state, or a product of eigenstates and singlets with dead branches."""
+    if kind == "random":
+        return random_state(n, seed)
+    rng = np.random.default_rng(seed)
+    parts = []
+    while sum(p.num_sites for p in parts) < n:
+        if kind == "paired" and sum(p.num_sites for p in parts) + 2 <= n and rng.random() < 0.5:
+            parts.append(make_singlet())
+        else:
+            axis = (Axis.X, Axis.Y, Axis.Z)[int(rng.integers(3))]
+            parts.append(pauli_eigenstate(axis, (1, -1)[int(rng.integers(2))]))
+    state = parts[0]
+    for part in parts[1:]:
+        state = tensor_product(state, part)
+    return state
+
+
+def assert_same_sample(got, want, rng_got, rng_want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1].amps, want[1].amps)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+STATE_KINDS = st.sampled_from(["random", "product", "paired"])
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=STATE_KINDS, n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
+       rseed=st.integers(0, 2**31 - 1), data=st.data())
+def test_measure_pauli_and_product_match_reference(kind, n, seed, rseed, data):
+    state = structured_state(kind, n, seed)
+    rng_got, rng_want = np.random.default_rng(rseed), np.random.default_rng(rseed)
+    got = want = (0, state)
+    for _ in range(3):
+        site = data.draw(st.integers(0, n - 1))
+        axis = data.draw(st.sampled_from(list(Axis)))
+        got = measure_pauli(got[1], site, axis, rng_got)
+        want = oracle.ref_measure_pauli(want[1], site, axis, rng_want)
+        assert_same_sample(got, want, rng_got, rng_want)
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    obs = ProductObservable(tuple((s, data.draw(st.sampled_from(list(Axis)))) for s in sites))
+    got = measure_product(got[1], obs, rng_got)
+    want = oracle.ref_measure_product(want[1], obs, rng_want)
+    assert_same_sample(got, want, rng_got, rng_want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=STATE_KINDS, n=st.integers(2, 5), seed=st.integers(0, 2**31 - 1),
+       rseed=st.integers(0, 2**31 - 1), data=st.data())
+def test_bell_measure_matches_reference(kind, n, seed, rseed, data):
+    state = structured_state(kind, n, seed)
+    s1, s2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rng_got, rng_want = np.random.default_rng(rseed), np.random.default_rng(rseed)
+    got = bell_measure(state, s1, s2, rng_got)
+    want = oracle.ref_bell_measure(state, s1, s2, rng_want)
+    live = sum(bell_project(state, s1, s2, which)[1] is not None for which in BellIndex)
+    if live > 1:
+        assert_same_sample(got, want, rng_got, rng_want)
+    else:
+        # the one intended difference: a lone live branch is taken without a draw
+        untouched = np.random.default_rng(rseed)
+        assert_same_sample(got, want, rng_got, untouched)
+        untouched.random()
+        assert rng_want.bit_generator.state == untouched.bit_generator.state
+
+
+def test_bell_measure_lone_branch_draws_nothing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    outcome, _ = bell_measure(make_singlet(), 0, 1, rng)
+    assert outcome is BellIndex.PSI_MINUS
+    assert rng.bit_generator.state == before
+    ref_rng = np.random.default_rng(3)
+    assert oracle.ref_bell_measure(make_singlet(), 0, 1, ref_rng)[0] is BellIndex.PSI_MINUS
+    assert ref_rng.bit_generator.state != before
