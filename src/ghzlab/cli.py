@@ -12,18 +12,16 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import game, lhv, parity, prepost, teleport
 from .game import PATTERNS, EfficiencyModel, TrialStreams, draw_pattern, wins
-from .qsim import make_ghz, measure_pauli
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 0
@@ -50,22 +48,29 @@ def _parse_sign(text: str) -> int:
     raise CliError(f"expected +1 or -1, got {text!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write to stdout, or replace ``out_path`` whole: no reader sees half a file."""
+@contextlib.contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """The handle a command writes into: stdout, or a file that replaces ``out_path`` whole.
+
+    A file is written beside the target and moved over it only when the
+    command succeeds, so no reader sees half a file.  Commands build a whole
+    document before they open the output, which keeps the file's buffers out
+    of their peak memory; jsonl and csv rows are written as they are made.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     target = os.path.realpath(out_path)  # through symlinks, as open() writes
     try:
         if os.path.exists(target) and not os.path.isfile(target):
             # a device or pipe such as /dev/null: replacing it would remove it
             with open(target, "w") as fh:
-                fh.write(text)
+                yield fh
             return
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                fh.write(text)
+                yield fh
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -79,11 +84,10 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit_records(play: Callable, out_path: str | None) -> int:
-    """Run ``play`` and emit its trial records, one JSON object per line."""
-    buf = io.StringIO()
-    play(record_sink=lambda rec: buf.write(json.dumps(rec.to_json_dict()) + "\n"))
-    _emit(buf.getvalue(), out_path)
+def _write_records(play: Callable, out_path: str | None) -> int:
+    """Run ``play``, writing each trial record as one JSON line when it is produced."""
+    with _output(out_path) as fh:
+        play(record_sink=lambda rec: fh.write(json.dumps(rec.to_json_dict()) + "\n"))
     return 0
 
 
@@ -116,7 +120,7 @@ def _theory_for(args, strategy: game.Strategy) -> float:
     return strategy.table.expected_win_rate()  # type: ignore[attr-defined]
 
 
-def _report_text(report, theory: float | None) -> str:
+def _report_text(report, theory: float) -> str:
     lines = [
         f"strategy: {report.strategy}",
         f"trials: {report.trials}",
@@ -131,14 +135,13 @@ def _report_text(report, theory: float | None) -> str:
         shown = "n/a" if rate is None else f"{rate:.6f}"
         lines.append(f"  {p.value}: {shown}  ({count} trials)")
     lines.append(f"triple_detection_rate: {report.triple_detection_rate:.6f}")
-    if theory is not None:
-        bound = 4.0 * _binomial_sigma(theory, report.trials)
-        diff = abs(report.win_rate - theory)
-        verdict = "ok" if diff <= bound else "OUTSIDE"
-        lines.append(
-            f"theory check: expected {theory:.6f}, |diff| = {diff:.6f} "
-            f"vs 4-sigma bound {bound:.6f} over n={report.trials}: {verdict}"
-        )
+    bound = 4.0 * _binomial_sigma(theory, report.trials)
+    diff = abs(report.win_rate - theory)
+    verdict = "ok" if diff <= bound else "OUTSIDE"
+    lines.append(
+        f"theory check: expected {theory:.6f}, |diff| = {diff:.6f} "
+        f"vs 4-sigma bound {bound:.6f} over n={report.trials}: {verdict}"
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -179,9 +182,11 @@ def cmd_game(args) -> int:
         play = functools.partial(game.run_experiment, strategy, args.trials, args.seed)
         as_text = functools.partial(_report_text, theory=theory)
     if args.format == "jsonl":
-        return _emit_records(play, args.out)
+        return _write_records(play, args.out)
     report = play()
-    _emit(as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict()), args.out)
+    text = as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict())
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -200,25 +205,22 @@ def cmd_sweep(args) -> int:
         report = game.run_experiment(strategy, args.trials, point_seed)
         rows.append((eta, report.win_rate, game.theoretical_win_rate(eta)))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["eta", "empirical", "theoretical"])
-        for eta, emp, theo in rows:
-            writer.writerow([f"{eta:g}", f"{emp:.6f}", f"{theo:.6f}"])
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
-        _emit(
-            _json_dumps(
-                {
-                    "trials_per_point": args.trials,
-                    "master_seed": args.seed,
-                    "rows": [
-                        {"eta": eta, "empirical": emp, "theoretical": theo}
-                        for eta, emp, theo in rows
-                    ],
-                }
-            ),
-            args.out,
+        with _output(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["eta", "empirical", "theoretical"])
+            for eta, emp, theo in rows:
+                writer.writerow([f"{eta:g}", f"{emp:.6f}", f"{theo:.6f}"])
+        return 0
+    if args.format == "json":
+        text = _json_dumps(
+            {
+                "trials_per_point": args.trials,
+                "master_seed": args.seed,
+                "rows": [
+                    {"eta": eta, "empirical": emp, "theoretical": theo}
+                    for eta, emp, theo in rows
+                ],
+            }
         )
     else:
         lines = [f"detection sweep: {args.trials} trials per point, master_seed {args.seed}"]
@@ -228,7 +230,9 @@ def cmd_sweep(args) -> int:
             lines.append(
                 f"{eta:8.4f}  {emp:10.6f}  {theo:11.6f}  {abs(emp - theo):8.6f}  {bound:8.6f}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -255,18 +259,17 @@ def cmd_prove(args) -> int:
         raise RuntimeError("solver disagreement between GF(2) and enumeration")
     drops = parity.drop_one_analysis(system)
     if args.format == "json":
-        _emit(
-            _json_dumps(
-                {
-                    "system": dataclasses.asdict(system),
-                    "result": parity.result_to_json_dict(result),
-                    "drop_one": {str(k): parity.result_to_json_dict(v) for k, v in drops.items()},
-                }
-            ),
-            args.out,
+        text = _json_dumps(
+            {
+                "system": dataclasses.asdict(system),
+                "result": parity.result_to_json_dict(result),
+                "drop_one": {str(k): parity.result_to_json_dict(v) for k, v in drops.items()},
+            }
         )
     else:
-        _emit(parity.format_proof(system, result, drops), args.out)
+        text = parity.format_proof(system, result, drops)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -278,24 +281,24 @@ def cmd_teleport(args) -> int:
     rule = teleport.derive_correction_rule()
     play = functools.partial(teleport.run_trials, args.trials, args.seed)
     if args.format == "jsonl":
-        return _emit_records(play, args.out)
+        return _write_records(play, args.out)
     summary = play()
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["pattern", "trials", "corrected_success_rate", "raw_success_rate"])
-        for name, rates in summary.per_pattern.items():
-            writer.writerow(
-                [
-                    name,
-                    rates.trials,
-                    f"{rates.corrected_success_rate:.6f}",
-                    f"{rates.raw_success_rate:.6f}",
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
-        _emit(_json_dumps(summary.to_json_dict()), args.out)
+        with _output(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["pattern", "trials", "corrected_success_rate", "raw_success_rate"])
+            for name, rates in summary.per_pattern.items():
+                writer.writerow(
+                    [
+                        name,
+                        rates.trials,
+                        f"{rates.corrected_success_rate:.6f}",
+                        f"{rates.raw_success_rate:.6f}",
+                    ]
+                )
+        return 0
+    if args.format == "json":
+        text = _json_dumps(summary.to_json_dict())
     else:
         lines = [
             f"teleported game: {summary.trials} trials, master_seed {args.seed}",
@@ -318,7 +321,9 @@ def cmd_teleport(args) -> int:
             f"worst |count - {expected:.1f}| = {worst:.1f} vs 4-sigma {4 * sigma:.1f} "
             f"over n={summary.trials}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -337,19 +342,18 @@ def cmd_elements(args) -> int:
     conditionals = prepost.conditionals_check(ens.pre)
     report = prepost.product_rule_report(ens)
     if args.format == "json":
-        _emit(
-            _json_dumps(
-                {
-                    "post_outcomes": signs,
-                    "conditionals": [prepost.labeled_json(e) for e in conditionals.entries],
-                    "all_pairs_commute": conditionals.all_pairs_commute,
-                    "product_rule": report.to_json_dict(),
-                }
-            ),
-            args.out,
+        text = _json_dumps(
+            {
+                "post_outcomes": signs,
+                "conditionals": [prepost.labeled_json(e) for e in conditionals.entries],
+                "all_pairs_commute": conditionals.all_pairs_commute,
+                "product_rule": report.to_json_dict(),
+            }
         )
     else:
-        _emit(prepost.format_elements_proof(ens, conditionals, report), args.out)
+        text = prepost.format_elements_proof(ens, conditionals, report)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -400,8 +404,10 @@ def play_session(
 
     Each round shows only player A's question.  The human may answer +1 or
     -1 outright, or measure her simulated particle and answer with the
-    outcome.  Teammates B and C always measure theirs.
+    outcome.  Teammates B and C always measure theirs; all three seats are
+    players of :class:`QuantumStrategy`, on the streams ``game`` gives them.
     """
+    team = game.quantum_strategy()
     streams = TrialStreams(master_seed, 5)
     stats = PlayStats()
     print_fn("you are player A; teammates B and C each hold one particle of a")
@@ -411,10 +417,10 @@ def play_session(
     while max_rounds is None or i < max_rounds:
         _, gens = streams.trial(i)
         i += 1
-        referee, _, rnd_a, rnd_b, rnd_c = gens
+        referee, setup_rnd, rnd_a, rnd_b, rnd_c = gens
+        player_a, player_b, player_c = team.setup(setup_rnd)
         pattern = draw_pattern(referee)
         axes = pattern.axes
-        state = make_ghz()
         print_fn(f"round {i}: your question is {axes[0].value.upper()}")
         while True:
             try:
@@ -423,7 +429,7 @@ def play_session(
                 raw = "q"
             token = raw.strip().lower()
             if token in ("m", "measure"):
-                answer_a, state = measure_pauli(state, 0, axes[0], rnd_a)
+                answer_a = player_a(axes[0], rnd_a)
                 mode = "measured"
                 print_fn(f"your particle reads {answer_a:+d}")
                 break
@@ -436,8 +442,8 @@ def play_session(
                     print_fn(line)
                 return stats
             print_fn("please type m, +1, -1, or q")
-        answer_b, state = measure_pauli(state, 1, axes[1], rnd_b)
-        answer_c, state = measure_pauli(state, 2, axes[2], rnd_c)
+        answer_b = player_b(axes[1], rnd_b)
+        answer_c = player_c(axes[2], rnd_c)
         answers = (answer_a, answer_b, answer_c)
         won = wins(pattern, answers)
         stats.record(mode, won)

@@ -63,22 +63,9 @@ NO_DETECTION = _NoDetection()
 Player = Callable[[Axis, RandomSource], "int | _NoDetection"]
 
 
-def draw_pattern(
-    rnd: RandomSource, weights: Sequence[float] | None = None
-) -> QuestionPattern:
-    """Draw a question pattern, uniformly unless weights are given."""
-    if weights is None:
-        return PATTERNS[int(rnd.random() * 4) & 3]
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (4,) or np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be 4 non-negative numbers with positive sum")
-    u = rnd.random() * w.sum()
-    acc = 0.0
-    for p, wi in zip(PATTERNS, w):
-        acc += wi
-        if u < acc:
-            return p
-    return PATTERNS[-1]
+def draw_pattern(rnd: RandomSource) -> QuestionPattern:
+    """Draw a question pattern uniformly."""
+    return PATTERNS[int(rnd.random() * 4) & 3]
 
 
 def wins(pattern: QuestionPattern, answers: Sequence[int]) -> bool:

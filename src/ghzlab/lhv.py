@@ -153,7 +153,7 @@ def play_with_kit(
 
 
 class KitStrategy(Strategy):
-    """Each round the triple carries one kit, drawn uniformly from ``kits``.
+    """Each round the triple carries one kit, drawn uniformly from the admissible family.
 
     A player replies with the kit entry for the question asked, or stays
     silent.  Kits carry their own detection model, so detection efficiency
@@ -162,13 +162,9 @@ class KitStrategy(Strategy):
 
     name = "lhv-instruction-kits"
 
-    def __init__(self, kits: tuple[InstructionKit, ...] | None = None):
-        self.kits = enumerate_kits() if kits is None else kits
-        if not all(kit_is_admissible(kit) for kit in self.kits):
-            raise ValueError("kit is not admissible")
-
     def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
-        kit = self.kits[int(rnd.integers(len(self.kits)))]
+        kits = enumerate_kits()
+        kit = kits[int(rnd.integers(len(kits)))]
         return _seat(lambda site, question, prnd: kit.reply(site, question))
 
 
@@ -184,16 +180,15 @@ class LhvReport(ExperimentReport):
 def lhv_statistics(
     trials: int,
     master_seed: int,
-    kits: tuple[InstructionKit, ...] | None = None,
     record_sink: Callable[[TrialRecord], None] | None = None,
 ) -> LhvReport:
     """Play instruction kits against the referee and tally detections.
 
     A run counts as a win only when all three players answer and the
-    answer product hits the pattern target.  ``kits`` defaults to the full
-    admissible family, sampled uniformly.
+    answer product hits the pattern target.  Kits are drawn uniformly from
+    the full admissible family.
     """
-    strategy = KitStrategy(kits)
+    strategy = KitStrategy()
     tally = _play(strategy, trials, master_seed, record_sink)
     wins = sum(tally.detected_wins.values())
     triple = tally.detections[3]

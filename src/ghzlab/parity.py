@@ -302,13 +302,9 @@ def result_to_json_dict(result: "Sat | Unsat") -> dict:
 
 
 def format_proof(
-    system: ParitySystem,
-    result: "Sat | Unsat | None" = None,
-    drops: Mapping[int, "Sat | Unsat"] | None = None,
+    system: ParitySystem, result: "Sat | Unsat", drops: Mapping[int, "Sat | Unsat"]
 ) -> str:
     """Human-readable account of a system, its verdict, and drop-one analysis."""
-    if result is None:
-        result = solve_gf2(system)
     lines = [
         f"parity system: {len(system.variables)} variables, "
         f"{len(system.constraints)} constraints",
@@ -336,9 +332,8 @@ def format_proof(
             f"  so the left side is +1 while the targets multiply to {product:+d}:"
             " a contradiction."
         )
-    if drops is not None:
-        lines.append("drop-one analysis:")
-        for k in sorted(drops):
-            verdict = "SAT" if isinstance(drops[k], Sat) else "UNSAT"
-            lines.append(f"  without [{k}]: {verdict}")
+    lines.append("drop-one analysis:")
+    for k in sorted(drops):
+        verdict = "SAT" if isinstance(drops[k], Sat) else "UNSAT"
+        lines.append(f"  without [{k}]: {verdict}")
     return "\n".join(lines) + "\n"

@@ -83,14 +83,24 @@ class PrePostEnsemble:
 
     def post_probability(self) -> float:
         """Born probability of the joint post outcome from the preparation."""
-        weight = 1.0
-        state: StateVector | None = self.pre
-        for site, axis, outcome in self.post:
-            p, state = pauli_project(state, site, axis, outcome)
-            weight *= p
-            if state is None:
-                return 0.0
-        return weight
+        return _post_weight(1.0, self.pre, self.post)
+
+
+def _post_weight(
+    weight: float, state: StateVector | None, post: Sequence[tuple[int, Axis, int]]
+) -> float:
+    """``weight`` times the Born probability of the ``post`` results from ``state``.
+
+    A ``state`` of None is a branch already known to be empty.  Each factor
+    is multiplied onto ``weight`` in turn, so the rounding is that of a
+    running product.
+    """
+    for site, axis, outcome in post:
+        if state is None:
+            return 0.0
+        p, state = pauli_project(state, site, axis, outcome)
+        weight *= p
+    return weight
 
 
 def ghz_x_ensemble(outcomes: Sequence[int]) -> PrePostEnsemble:
@@ -122,14 +132,7 @@ def abl_distribution(ens: PrePostEnsemble, obs: ProductObservable) -> AblDistrib
     weights = {}
     for outcome in (1, -1):
         p, state = product_project(ens.pre, obs, outcome)
-        weight = p
-        for site, axis, post_outcome in ens.post:
-            if state is None:
-                weight = 0.0
-                break
-            q, state = pauli_project(state, site, axis, post_outcome)
-            weight *= q
-        weights[outcome] = weight
+        weights[outcome] = _post_weight(p, state, ens.post)
     total = weights[1] + weights[-1]
     if total <= MIN_BRANCH_PROB:
         raise PostselectionError(
@@ -193,34 +196,29 @@ class ConditionalsReport:
         return all(e.matches_target for e in self.entries)
 
 
-def conditionals_check(
-    pre: StateVector, repeats: int = 8, rnd: np.random.Generator | None = None
-) -> ConditionalsReport:
+def conditionals_check(pre: StateVector) -> ConditionalsReport:
     """Verify the four product observables take definite values on ``pre``.
 
-    Each product is checked twice over: its expectation must sit at +1 or
-    -1, and repeated projective measurements must keep returning that same
-    value.  The targets listed are those of the GHZ preparation.  All
-    pairwise commutators are evaluated on the state as well; the four
-    products are simultaneously definite, unlike their single-site factors.
+    A product is definite when its expectation sits at +1 or -1; one
+    projective measurement then returns that value without a draw.  The
+    targets listed are those of the GHZ preparation.  All pairwise
+    commutators are evaluated on the state as well; the four products are
+    simultaneously definite, unlike their single-site factors.
     """
-    if rnd is None:
-        rnd = np.random.default_rng(0)
+    rnd = np.random.default_rng(0)
     entries = []
     observables = []
     for axes, target in _PRODUCT_TARGETS:
         obs = pauli_product(axes)
         observables.append(obs)
         expectation = expectation_product(pre, obs)
-        values = [measure_product(pre, obs, rnd)[0] for _ in range(repeats)]
-        deterministic = len(set(values)) == 1 and abs(abs(expectation) - 1.0) < 1e-9
         entries.append(
             ConditionalEntry(
                 observable=obs,
                 target=target,
                 expectation=expectation,
-                measured_value=values[0],
-                deterministic=deterministic,
+                measured_value=measure_product(pre, obs, rnd)[0],
+                deterministic=abs(abs(expectation) - 1.0) < 1e-9,
             )
         )
     commute = all(

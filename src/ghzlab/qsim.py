@@ -193,14 +193,12 @@ class ProductObservable:
         return "*".join(parts)
 
 
-def pauli_product(axes: str, sites: Sequence[int] | None = None) -> ProductObservable:
+def pauli_product(axes: str) -> ProductObservable:
     """Build a product observable from an axis string, e.g. ``"xyy"``.
 
-    Character k acts on ``sites[k]`` (default: site k).
+    Character k acts on site k.
     """
-    if sites is None:
-        sites = range(len(axes))
-    return ProductObservable(tuple((s, Axis(c.lower())) for s, c in zip(sites, axes)))
+    return ProductObservable(tuple((k, Axis(c.lower())) for k, c in enumerate(axes)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,34 +452,44 @@ def expectation_product(state: StateVector, obs: ProductObservable) -> float:
     return float(value.real)
 
 
-def _bell_overlap(state: StateVector, s1: int, s2: int, which: BellIndex) -> np.ndarray:
-    """Overlap field <Bell state of (s1, s2)|psi> over the remaining sites."""
+def _bell_overlaps(
+    state: StateVector, s1: int, s2: int, outcomes: Sequence[BellIndex]
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """Index groups of the pair (s1, s2), and each outcome's overlap field over the other sites."""
     n = state.num_sites
     if s1 == s2:
         raise ValueError("Bell measurement needs two distinct sites")
     if not (0 <= s1 < n and 0 <= s2 < n):
         raise ValueError(f"sites ({s1}, {s2}) out of range for {n} sites")
     groups = _pair_split(n, s1, s2)
+    parts = [state.amps[g] for g in groups]
+    return groups, [
+        sum(np.conj(_BELL_COMPONENTS[which][p]) * parts[p] for p in range(4)) for which in outcomes
+    ]
+
+
+def _bell_collapse(
+    n: int, groups: tuple[np.ndarray, ...], which: BellIndex, coeff: np.ndarray, prob: float
+) -> StateVector:
+    """Rebuild the full renormalized state from a Bell overlap field."""
     v = _BELL_COMPONENTS[which]
-    return sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
+    coeff = coeff / math.sqrt(prob)
+    out = np.zeros(1 << n, dtype=complex)
+    for q in range(4):
+        if v[q] != 0:
+            out[groups[q]] = v[q] * coeff
+    return StateVector._renormalized(n, out)
 
 
 def bell_project(
     state: StateVector, s1: int, s2: int, which: BellIndex
 ) -> tuple[float, StateVector | None]:
     """Probability of one Bell outcome on sites (s1, s2) and the collapse."""
-    coeff = _bell_overlap(state, s1, s2, which)
+    groups, (coeff,) = _bell_overlaps(state, s1, s2, (which,))
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    groups = _pair_split(state.num_sites, s1, s2)
-    v = _BELL_COMPONENTS[which]
-    coeff = coeff / math.sqrt(p)
-    out = np.zeros_like(state.amps)
-    for q in range(4):
-        if v[q] != 0:
-            out[groups[q]] = v[q] * coeff
-    return p, StateVector(state.num_sites, out, copy=False)
+    return p, _bell_collapse(state.num_sites, groups, which, coeff, p)
 
 
 def bell_measure(
@@ -491,12 +499,11 @@ def bell_measure(
 
     Every branch is weighed, but only the sampled one is collapsed.
     """
-    weights = []
-    for which in _BELL_ORDER:
-        coeff = _bell_overlap(state, s1, s2, which)
-        weights.append(float(np.vdot(coeff, coeff).real))
-    which = _BELL_ORDER[_pick(rnd, weights)]
-    return which, bell_project(state, s1, s2, which)[1]
+    groups, overlaps = _bell_overlaps(state, s1, s2, _BELL_ORDER)
+    weights = [float(np.vdot(c, c).real) for c in overlaps]
+    k = _pick(rnd, weights)
+    which = _BELL_ORDER[k]
+    return which, _bell_collapse(state.num_sites, groups, which, overlaps[k], weights[k])
 
 
 def joint_distribution(

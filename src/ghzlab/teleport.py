@@ -146,19 +146,14 @@ class TeleportTrialRecord:
         }
 
 
-def run_trial(
-    pattern: QuestionPattern,
-    rnd: RandomSource,
-    rule: CorrectionRule | None = None,
-) -> TeleportTrialRecord:
+def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecord:
     """One full run: three Bell measurements, three remote spin measurements.
 
     The Bell and remote measurements act on disjoint sites, so the order
     used here is statistically irrelevant.  Corrections touch only the
     recorded numbers, never the state.
     """
-    if rule is None:
-        rule = derive_correction_rule()
+    rule = derive_correction_rule()
     state = build_setup()
     bells = []
     for s1, s2 in BELL_PAIRS:
@@ -225,12 +220,8 @@ def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:
     per_pattern = {
         p.value: PatternRates(
             trials=pattern_counts[p],
-            corrected_success_rate=(
-                corrected_hits[p] / pattern_counts[p] if pattern_counts[p] else float("nan")
-            ),
-            raw_success_rate=(
-                raw_hits[p] / pattern_counts[p] if pattern_counts[p] else float("nan")
-            ),
+            corrected_success_rate=corrected_hits[p] / pattern_counts[p],
+            raw_success_rate=raw_hits[p] / pattern_counts[p],
         )
         for p in PATTERNS
         if pattern_counts[p]
@@ -253,20 +244,19 @@ def run_trials(
     """Run seeded trials with uniformly drawn patterns and summarize them."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rule = derive_correction_rule()
     streams = TrialStreams(master_seed, 2)
     records = []
     for i in range(trials):
         _, (referee, lab) = streams.trial(i)
-        record = run_trial(draw_pattern(referee), lab, rule)
+        record = run_trial(draw_pattern(referee), lab)
         records.append(record)
         if record_sink is not None:
             record_sink(record)
     return summarize(records)
 
 
-def all_detected_probability(eta: float, particles: int = 9) -> float:
-    """Chance that every detector fires in a run needing that many detections."""
+def all_detected_probability(eta: float) -> float:
+    """Chance that all nine detectors of a run fire: six Bell-pair and three remote ones."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return eta**particles
+    return eta**9

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -289,6 +292,80 @@ def test_failed_write_leaves_existing_output(tmp_path, capsys, monkeypatch):
     assert "No space left on device" in err
     assert target.read_text() == "earlier report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# sha256 of seeded outputs, one per format the benchmark checks; any change
+# to a seeded output, however small, fails here.
+KNOWN_OUTPUTS = [
+    pytest.param(
+        ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
+         "--format", "jsonl"),
+        "436d91f8737f1d2b3b70c79f1bb09a6bea275c581d2107ade9b10ccf3af49538",
+        id="game-quantum-eta-jsonl",
+    ),
+    pytest.param(
+        ("game", "--strategy", "lhv", "--trials", "1000", "--seed", "7", "--format", "json"),
+        "af7c01ba811133ed7c2b476e04927025b88bb6af50fa9db61437817d6ff677b1",
+        id="game-lhv-json",
+    ),
+    pytest.param(
+        ("sweep", "--trials", "200", "--seed", "7", "--format", "csv"),
+        "67f670c9ed3cac37c271609aa590a448cd19aa15f1bfeb2f148a4d2e2ce3eac0",
+        id="sweep-csv",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "128", "--seed", "7", "--format", "json"),
+        "798d822def36341e3d651de1e9b6dca2adc160648feebe278c44afea1d55bac2",
+        id="teleport-json",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "128", "--seed", "7", "--format", "jsonl"),
+        "5632a0b66c3511e8782d5005eb77e3fa7be0d25e538066b7c5d55af0601f06c0",
+        id="teleport-jsonl",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "128", "--seed", "7", "--format", "csv"),
+        "88493f539105fbd1636a564aac8eb6e5be6a4a387e8344ad041c2555cb3e7635",
+        id="teleport-csv",
+    ),
+    pytest.param(
+        ("elements", "1", "1", "-1", "--format", "json"),
+        "30920bcc1712cf43dc3977da3b9eae004b91c411847ff79a5949ef0d827798c1",
+        id="elements-json",
+    ),
+    pytest.param(
+        ("prove", "stapp", "1", "1", "-1", "--format", "json"),
+        "195c872496960823dd30b2268a6ee8bffc42806a6bada4f80c51312051320af3",
+        id="prove-stapp-json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", KNOWN_OUTPUTS)
+def test_known_answer_outputs(tmp_path, argv, digest):
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def jsonl_peak_bytes(path, trials):
+    """tracemalloc peak of one ``game --format jsonl`` run, after a warm-up run."""
+    argv = ["game", "--format", "jsonl", "--trials", str(trials), "--out", str(path)]
+    assert main(argv) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jsonl_memory_does_not_grow_with_trials(tmp_path):
+    small = jsonl_peak_bytes(tmp_path / "small.jsonl", 500)
+    large = jsonl_peak_bytes(tmp_path / "large.jsonl", 4000)
+    assert large - small < 64 * 1024
+    assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 4000
 
 
 def test_help_exits_zero(capsys):

@@ -61,14 +61,6 @@ def test_draw_pattern_uniform():
         assert abs(counts[p] / n - 0.25) < oracle.binomial_4sigma(0.25, n)
 
 
-def test_draw_pattern_weights():
-    rnd = np.random.default_rng(2)
-    only_xyy = [draw_pattern(rnd, weights=[0, 1, 0, 0]) for _ in range(100)]
-    assert set(only_xyy) == {QuestionPattern.XYY}
-    with pytest.raises(ValueError):
-        draw_pattern(rnd, weights=[1, 1, 1])
-
-
 # ---------------------------------------------------------------------------
 # deterministic tables
 
