@@ -14,7 +14,6 @@ from .qsim import (
     ProductObservable,
     StateVector,
     bell_measure,
-    commutes_on_state,
     expectation_product,
     joint_distribution,
     make_ghz,
@@ -39,7 +38,7 @@ from .game import (
     theoretical_win_rate,
     wins,
 )
-from .lhv import InstructionKit, enumerate_kits, kit_is_admissible, lhv_statistics, play_with_kit
+from .lhv import InstructionKit, enumerate_kits, kit_is_admissible, lhv_statistics
 from .parity import (
     ParityConstraint,
     ParitySystem,
@@ -85,7 +84,6 @@ __all__ = [
     "build_classical_game_system",
     "build_setup",
     "build_stapp_system",
-    "commutes_on_state",
     "conditionals_check",
     "derive_correction_rule",
     "draw_pattern",
@@ -104,7 +102,6 @@ __all__ = [
     "measure_product",
     "pauli_product",
     "play_deterministic",
-    "play_with_kit",
     "product_rule_report",
     "quantum_strategy",
     "reduced_density",

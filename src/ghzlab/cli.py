@@ -120,51 +120,47 @@ def _theory_for(args, strategy: game.Strategy) -> float:
     return strategy.table.expected_win_rate()  # type: ignore[attr-defined]
 
 
-def _report_text(report, theory: float) -> str:
-    lines = [
+def _report_lines(report) -> list[str]:
+    """The header every game report's text opens with."""
+    return [
         f"strategy: {report.strategy}",
         f"trials: {report.trials}",
         f"master_seed: {report.master_seed}",
         f"wins: {report.wins}",
         f"win_rate: {report.win_rate:.6f}",
-        "per-pattern win rates:",
     ]
+
+
+def _theory_check(what: str, observed: float, theory: float, n: int) -> str:
+    bound = 4.0 * _binomial_sigma(theory, n)
+    diff = abs(observed - theory)
+    return (
+        f"theory check: {what}expected {theory:.6f}, |diff| = {diff:.6f} "
+        f"vs 4-sigma bound {bound:.6f} over n={n}: " + ("ok" if diff <= bound else "OUTSIDE")
+    )
+
+
+def _report_text(report, theory: float) -> str:
+    lines = _report_lines(report) + ["per-pattern win rates:"]
     for p in PATTERNS:
         rate = report.per_pattern_win_rates[p.value]
         count = report.per_pattern_trials[p.value]
         shown = "n/a" if rate is None else f"{rate:.6f}"
         lines.append(f"  {p.value}: {shown}  ({count} trials)")
     lines.append(f"triple_detection_rate: {report.triple_detection_rate:.6f}")
-    bound = 4.0 * _binomial_sigma(theory, report.trials)
-    diff = abs(report.win_rate - theory)
-    verdict = "ok" if diff <= bound else "OUTSIDE"
-    lines.append(
-        f"theory check: expected {theory:.6f}, |diff| = {diff:.6f} "
-        f"vs 4-sigma bound {bound:.6f} over n={report.trials}: {verdict}"
-    )
+    lines.append(_theory_check("", report.win_rate, theory, report.trials))
     return "\n".join(lines) + "\n"
 
 
 def _lhv_text(report) -> str:
-    lines = [
-        f"strategy: {report.strategy}",
-        f"trials: {report.trials}",
-        f"master_seed: {report.master_seed}",
-        f"wins: {report.wins}",
-        f"win_rate: {report.win_rate:.6f}",
+    lines = _report_lines(report) + [
         f"triple_detection_rate: {report.triple_detection_rate:.6f}",
         f"conditional_win_rate: "
         + ("n/a" if report.conditional_win_rate is None else f"{report.conditional_win_rate:.6f}"),
         f"single_detections: {report.single_detections}",
         f"null_detections: {report.null_detections}",
+        _theory_check("triple detection ", report.triple_detection_rate, 0.5, report.trials),
     ]
-    bound = 4.0 * _binomial_sigma(0.5, report.trials)
-    diff = abs(report.triple_detection_rate - 0.5)
-    lines.append(
-        f"theory check: triple detection expected 0.500000, |diff| = {diff:.6f} "
-        f"vs 4-sigma bound {bound:.6f} over n={report.trials}: "
-        + ("ok" if diff <= bound else "OUTSIDE")
-    )
     return "\n".join(lines) + "\n"
 
 

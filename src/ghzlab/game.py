@@ -287,6 +287,48 @@ def theoretical_win_rate(eta: float) -> float:
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, used to label trials
 
 
+class _RoleStream:
+    """One role's generator, sought onto the current trial at its first draw.
+
+    Until then ``random`` and ``integers`` are seeking stand-ins; seeking
+    sets them to the generator's own methods, so every later draw in the
+    trial costs what a plain ``Generator`` draw costs.  Any other
+    ``Generator`` attribute is read from the sought generator.
+    """
+
+    __slots__ = ("random", "integers", "_gen", "_state", "_counter", "_streams", "_armed", "_sought")
+
+    def __init__(self, key: list[int], role: int, streams: "TrialStreams"):
+        self._gen = gen = np.random.Generator(np.random.Philox(key=0))
+        # numpy's Philox state with an exhausted output buffer, in lists where
+        # numpy keeps arrays: its setter reads both, and lists halve its cost
+        self._counter = [0, role, 0, 0]
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._streams = streams
+        self._armed = (self._seek_random, self._seek_integers)
+        self._sought = (gen.random, gen.integers)
+        self.random, self.integers = self._armed
+
+    def _seek(self) -> None:
+        self._counter[2] = self._streams._index  # the only word that differs between trials
+        self._gen.bit_generator.state = self._state
+        self.random, self.integers = self._sought
+
+    def _seek_random(self, *args, **kwargs):
+        self._seek()
+        return self.random(*args, **kwargs)
+
+    def _seek_integers(self, *args, **kwargs):
+        self._seek()
+        return self.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        if self.random == self._seek_random:
+            self._seek()
+        return getattr(self._gen, name)
+
+
 class TrialStreams:
     """Deterministic per-(trial, role) random streams from one master seed.
 
@@ -296,40 +338,36 @@ class TrialStreams:
     stream, which is exactly the independence guarantee a counter-based
     generator provides.  Streams depend only on (master_seed, trial, role),
     never on execution order, so trials may run in any order or in
-    parallel with identical results.  The per-role ``Generator`` objects
-    are reused across trials by resetting the counter, which keeps stream
-    derivation cheap in 1e5-trial experiments.
+    parallel with identical results.  Each role reuses one ``Generator``
+    across trials and seeks its counter onto the current trial only when
+    the trial first draws from that role, so a role a trial never uses
+    costs nothing, and the draws a role does make are the ones an eagerly
+    reset stream would give.
     """
 
     def __init__(self, master_seed: int, n_roles: int):
         if master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
         self.master_seed = master_seed
-        key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-        self._key0 = int(key[0])
-        self._bgs = [np.random.Philox(key=0) for _ in range(n_roles)]
-        self._gens = tuple(np.random.Generator(bg) for bg in self._bgs)
-        self._states = [bg.state for bg in self._bgs]
-        for role, st in enumerate(self._states):
-            st["state"]["key"][:] = key
-            st["state"]["counter"][:] = (0, role, 0, 0)
-            st["buffer_pos"] = 4  # mark the output buffer exhausted
-            st["has_uint32"] = 0
-            st["uinteger"] = 0
+        self._index = 0
+        key = [int(k) for k in np.random.SeedSequence(master_seed).generate_state(2, np.uint64)]
+        self._key0 = key[0]
+        self._roles = tuple(_RoleStream(key, role, self) for role in range(n_roles))
 
     def trial(self, index: int) -> tuple[int, tuple[RandomSource, ...]]:
-        """Reset all roles onto trial ``index`` and return (trial_seed, generators).
+        """Move every role onto trial ``index`` and return (trial_seed, generators).
 
-        ``trial_seed`` is the 64-bit label derived from (master_seed,
-        trial index) that is recorded with the trial; replaying a trial
-        means rebuilding streams from those two numbers.
+        Each role seeks onto the trial at its first draw.  ``trial_seed`` is
+        the 64-bit label derived from (master_seed, trial index) that is
+        recorded with the trial; replaying a trial means rebuilding streams
+        from those two numbers.
         """
         if index < 0:
             raise ValueError("trial index must be non-negative")
-        for bg, st in zip(self._bgs, self._states):
-            st["state"]["counter"][2] = index  # the only word that differs between trials
-            bg.state = st
-        return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._gens
+        self._index = index
+        for role in self._roles:
+            role.random, role.integers = role._armed
+        return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._roles
 
 
 _ROLE_REFEREE, _ROLE_SETUP, _ROLE_A, _ROLE_B, _ROLE_C = range(5)

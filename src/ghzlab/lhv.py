@@ -81,15 +81,6 @@ class InstructionKit:
         sign = self.entry(player, axis).sign
         return NO_DETECTION if sign is None else sign
 
-    @property
-    def silent_slot(self) -> tuple[int, Axis]:
-        """The (player, axis) carrying the stay-silent instruction."""
-        for player in range(3):
-            for axis in _AXES:
-                if self.entry(player, axis) is InstructionEntry.NOT_DETECTED:
-                    return player, axis
-        raise ValueError("kit has no stay-silent entry")
-
     def describe(self) -> str:
         parts = []
         for player in range(3):
@@ -141,15 +132,6 @@ def enumerate_kits() -> tuple[InstructionKit, ...]:
                 kits.append(kit)
     kits.sort(key=lambda k: tuple(_ENTRY_RANK[e] for e in k.entries))
     return tuple(kits)
-
-
-def play_with_kit(
-    kit: InstructionKit, pattern: QuestionPattern
-) -> tuple["int | _NoDetection", ...]:
-    """Per-player replies for a pattern: +1, -1, or NO_DETECTION."""
-    if not kit_is_admissible(kit):
-        raise ValueError("kit is not admissible")
-    return tuple(kit.reply(player, pattern.axes[player]) for player in range(3))
 
 
 class KitStrategy(Strategy):

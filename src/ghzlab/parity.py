@@ -259,7 +259,7 @@ def build_stapp_system(actual_x: Sequence[int]) -> ParitySystem:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON interchange
+# Text and JSON output
 
 
 def format_system(system: ParitySystem) -> str:
@@ -267,32 +267,6 @@ def format_system(system: ParitySystem) -> str:
     for con in system.constraints:
         lines.append(f"CON {' '.join(con.vars)} => {con.target:+d}")
     return "\n".join(lines) + "\n"
-
-
-def parse_system(text: str) -> ParitySystem:
-    """Parse the plain-text format written by :func:`format_system`."""
-    variables: list[str] = []
-    constraints: list[ParityConstraint] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "VAR":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: VAR takes exactly one name")
-            variables.append(parts[1])
-        elif parts[0] == "CON":
-            if len(parts) < 4 or parts[-2] != "=>":
-                raise ValueError(f"line {lineno}: expected 'CON name... => +1|-1'")
-            if parts[-1] not in ("+1", "-1", "1"):
-                raise ValueError(f"line {lineno}: bad target {parts[-1]!r}")
-            constraints.append(
-                ParityConstraint(tuple(parts[1:-2]), 1 if parts[-1] in ("+1", "1") else -1)
-            )
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
-    return ParitySystem(tuple(variables), tuple(constraints))
 
 
 def result_to_json_dict(result: "Sat | Unsat") -> dict:

@@ -33,7 +33,6 @@ from .qsim import (
     MIN_BRANCH_PROB,
     ProductObservable,
     StateVector,
-    commutes_on_state,
     expectation_product,
     make_ghz,
     measure_pauli,
@@ -201,9 +200,9 @@ def conditionals_check(pre: StateVector) -> ConditionalsReport:
 
     A product is definite when its expectation sits at +1 or -1; one
     projective measurement then returns that value without a draw.  The
-    targets listed are those of the GHZ preparation.  All pairwise
-    commutators are evaluated on the state as well; the four products are
-    simultaneously definite, unlike their single-site factors.
+    targets listed are those of the GHZ preparation.  The four products
+    also commute pairwise, as operators, so they are simultaneously
+    definite, unlike their single-site factors.
     """
     rnd = np.random.default_rng(0)
     entries = []
@@ -222,9 +221,7 @@ def conditionals_check(pre: StateVector) -> ConditionalsReport:
             )
         )
     commute = all(
-        commutes_on_state(pre, observables[i], observables[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
+        observables[i].commutes_with(observables[j]) for i in range(4) for j in range(i + 1, 4)
     )
     return ConditionalsReport(tuple(entries), commute)
 

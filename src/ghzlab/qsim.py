@@ -10,9 +10,11 @@ Conventions, fixed here and relied on by every other module:
   sqrt2``, where the first arrow belongs to the first site of the measured
   pair as passed to :func:`bell_measure`.
 
-States are value objects: every operation returns a fresh ``StateVector``
-and amplitude buffers are marked read-only.  Randomness enters only through
-an explicit ``numpy.random.Generator`` argument, so all sampling is
+States are value objects: amplitude buffers are marked read-only, so a
+state can be shared.  ``make_ghz()`` returns one cached state, and
+:func:`measure_pauli` returns the same collapsed branch object every time
+it collapses that state the same way.  Randomness enters only through an
+explicit ``numpy.random.Generator`` argument, so all sampling is
 reproducible and the functions here are pure.
 """
 
@@ -31,8 +33,6 @@ MAX_SITES = 12
 
 # Tolerance for exact algebraic identities (norms, traces, eigenrelations).
 ATOL_EXACT = 1e-12
-# Tolerance for derived operator norms (commutators, convention checks).
-ATOL_NORM = 1e-10
 # Branches below this probability are treated as numerically impossible.
 MIN_BRANCH_PROB = 1e-15
 
@@ -134,13 +134,6 @@ class StateVector:
         self.amps = amps
         return self
 
-    def amp(self, bits: str) -> complex:
-        """Amplitude of a basis state given as a bit string, site 0 first."""
-        if len(bits) != self.num_sites or any(c not in "01" for c in bits):
-            raise ValueError(f"need {self.num_sites} chars of 0/1, got {bits!r}")
-        index = sum(1 << k for k, c in enumerate(bits) if c == "1")
-        return complex(self.amps[index])
-
     def dump_lines(self) -> list[str]:
         """Debug dump: one line 'bitstring re im' per basis state, site 0 first."""
         lines = []
@@ -151,6 +144,25 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(num_sites={self.num_sites})"
+
+
+class _SharedState(StateVector):
+    """A state reused across trials: ``make_ghz()`` and its measured branches.
+
+    ``memo`` maps each (site, axis) measured on it to the Born weights
+    ``(p_plus, 1 - p_plus)`` and the two collapsed branches, each built the
+    first time it is drawn.  Only sites not yet ``measured`` on the path
+    from ``make_ghz()`` lead to shared branches, which bounds the tree;
+    measuring a site again gives a plain state.  Per-trial states keep
+    the plain, smaller layout.
+    """
+
+    __slots__ = ("memo", "measured")
+
+    def __init__(self, num_sites: int, amps: np.ndarray, measured: tuple[int, ...] = ()):
+        super().__init__(num_sites, amps, copy=False)
+        self.memo = {}
+        self.measured = measured
 
 
 @dataclass(frozen=True)
@@ -185,6 +197,17 @@ class ProductObservable:
     def max_site(self) -> int:
         return max(site for site, _ in self.factors)
 
+    def commutes_with(self, other: "ProductObservable") -> bool:
+        """Whether the two products commute as operators.
+
+        Paulis of different axes on one site anticommute, so swapping the
+        products flips the sign once per such pair of factors; with one
+        factor per site, they commute when the sites where their axes
+        differ are even in number.
+        """
+        flips = sum(a is not b for s, a in self.factors for t, b in other.factors if s == t)
+        return flips % 2 == 0
+
     def label(self, site_names: Sequence[str] | None = None) -> str:
         parts = []
         for site, axis in self.factors:
@@ -205,14 +228,6 @@ def pauli_product(axes: str) -> ProductObservable:
 # State construction
 
 
-def basis_state(bits: str) -> StateVector:
-    """Computational basis state from a bit string, site 0 first (0 = up)."""
-    n = len(bits)
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[sum(1 << k for k, c in enumerate(bits) if c == "1")] = 1.0
-    return StateVector(n, amps, copy=False)
-
-
 def pauli_eigenstate(axis: Axis, sign: int) -> StateVector:
     """Single-site eigenstate of a Pauli axis with eigenvalue ``sign``."""
     if sign not in (1, -1):
@@ -230,12 +245,13 @@ def pauli_eigenstate(axis: Axis, sign: int) -> StateVector:
 def make_ghz() -> StateVector:
     """Three-site state (|up,up,up> - |down,down,down>)/sqrt2.
 
-    States are immutable, so the instance is cached and shared.
+    States are immutable, so the instance is cached and shared, and so
+    are the branches :func:`measure_pauli` collapses it to.
     """
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = _SQRT1_2
     amps[0b111] = -_SQRT1_2
-    return StateVector(3, amps, copy=False)
+    return _SharedState(3, amps)
 
 
 @lru_cache(maxsize=1)
@@ -302,13 +318,6 @@ def _apply_factors(amps: np.ndarray, n: int, factors: Iterable[tuple[int, Axis]]
     for site, axis in reversed(tuple(factors)):
         amps = _apply_one_site(amps, n, site, _PAULI[axis])
     return amps
-
-
-def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
-    """Apply a product observable as an operator (the result stays normalized)."""
-    if obs.max_site >= state.num_sites:
-        raise ValueError(f"observable site {obs.max_site} out of range")
-    return StateVector(state.num_sites, _apply_factors(state.amps, state.num_sites, obs.factors), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +388,26 @@ def measure_pauli(
     """Projectively measure one Pauli axis on one site.
 
     Returns the sampled outcome (+1 or -1) and the renormalized collapsed
-    state.  The input state is not modified.
+    state.  The input state is not modified.  The returned state may be
+    shared: on ``make_ghz()`` and the branches measured from it, the Born
+    weights and each collapsed branch are computed once and kept on that
+    shared state, and later calls draw with the same weights and return
+    the same branch.  No other state keeps anything.
     """
+    if type(state) is _SharedState and site not in state.measured:
+        entry = state.memo.get((site, axis))
+        if entry is None:
+            c_plus = _site_overlap(state.amps, state.num_sites, site, axis, 1)
+            p_plus = float(np.vdot(c_plus, c_plus).real)
+            entry = state.memo[(site, axis)] = [(p_plus, 1.0 - p_plus), None, None]
+        k = _pick(rnd, entry[0])
+        branch = entry[k + 1]
+        if branch is None:
+            n = state.num_sites
+            coeff = _site_overlap(state.amps, n, site, axis, _OUTCOMES[k])
+            amps = _site_collapse(n, site, axis, _OUTCOMES[k], coeff, entry[0][k]).amps
+            branch = entry[k + 1] = _SharedState(n, amps, state.measured + (site,))
+        return _OUTCOMES[k], branch
     n = state.num_sites
     c_plus = _site_overlap(state.amps, n, site, axis, 1)
     p_plus = float(np.vdot(c_plus, c_plus).real)
@@ -558,12 +585,3 @@ def reduced_density(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     m[row, col] = state.amps
     return m @ m.conj().T
 
-
-def commutes_on_state(
-    state: StateVector, o1: ProductObservable, o2: ProductObservable
-) -> bool:
-    """Whether (O1*O2 - O2*O1) annihilates the given state."""
-    n = state.num_sites
-    a = _apply_factors(_apply_factors(state.amps, n, o2.factors), n, o1.factors)
-    b = _apply_factors(_apply_factors(state.amps, n, o1.factors), n, o2.factors)
-    return float(np.linalg.norm(a - b)) < ATOL_NORM

@@ -254,9 +254,3 @@ def run_trials(
             record_sink(record)
     return summarize(records)
 
-
-def all_detected_probability(eta: float) -> float:
-    """Chance that all nine detectors of a run fire: six Bell-pair and three remote ones."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return eta**9

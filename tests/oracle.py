@@ -1,13 +1,16 @@
 """Independent dense-matrix oracle used to cross-check the package.
 
-Everything here builds full 2**n x 2**n operator matrices with np.kron and
+The first part builds full 2**n x 2**n operator matrices with np.kron and
 evaluates probabilities and expectations by plain linear algebra.  The
 package itself never forms full operator matrices, so agreement between
 the two routes is a meaningful check.
 
-The reference samplers at the end are the exception: they are the package's
-sampling measurements in their earlier, separately written form, kept so
-that seeded runs of the package can be compared with them exactly.
+The helpers that follow the matrices (amplitude lookup, basis states,
+applying a product, state-based commutation, kit replies, parsing parity
+systems) serve the tests only.  The reference samplers at the end are the
+package's sampling measurements and per-trial streams in their earlier,
+separately written form, kept so that seeded runs of the package can be
+compared with them exactly.
 """
 
 from __future__ import annotations
@@ -16,19 +19,28 @@ import math
 
 import numpy as np
 
+from ghzlab.game import _GOLDEN_GAMMA, PATTERNS, ExperimentReport
+from ghzlab.lhv import InstructionEntry, kit_is_admissible
+from ghzlab.parity import ParityConstraint, ParitySystem
+from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
 from ghzlab.qsim import (
     _BELL_COMPONENTS,
     _EIGVEC,
     MIN_BRANCH_PROB,
+    Axis,
     BellIndex,
+    ProductObservable,
     StateVector,
     _apply_factors,
     _pair_split,
     _site_overlap,
     _site_split,
+    make_ghz,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
+# Tolerance for derived operator norms (commutators).
+ATOL_NORM = 1e-10
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -158,6 +170,92 @@ def binomial_4sigma(p: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# State helpers
+
+
+def amp(state: StateVector, bits: str) -> complex:
+    """Amplitude of a basis state given as a bit string, site 0 first."""
+    if len(bits) != state.num_sites or any(c not in "01" for c in bits):
+        raise ValueError(f"need {state.num_sites} chars of 0/1, got {bits!r}")
+    return complex(state.amps[sum(1 << k for k, c in enumerate(bits) if c == "1")])
+
+
+def basis_state(bits: str) -> StateVector:
+    """Computational basis state from a bit string, site 0 first (0 = up)."""
+    amps = np.zeros(1 << len(bits), dtype=complex)
+    amps[sum(1 << k for k, c in enumerate(bits) if c == "1")] = 1.0
+    return StateVector(len(bits), amps, copy=False)
+
+
+def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
+    """Apply a product observable as an operator (the result stays normalized)."""
+    if obs.max_site >= state.num_sites:
+        raise ValueError(f"observable site {obs.max_site} out of range")
+    return StateVector(state.num_sites, _apply_factors(state.amps, state.num_sites, obs.factors), copy=False)
+
+
+def commutes_on_state(state: StateVector, o1: ProductObservable, o2: ProductObservable) -> bool:
+    """Whether (O1*O2 - O2*O1) annihilates the given state."""
+    n = state.num_sites
+    a = _apply_factors(_apply_factors(state.amps, n, o2.factors), n, o1.factors)
+    b = _apply_factors(_apply_factors(state.amps, n, o1.factors), n, o2.factors)
+    return float(np.linalg.norm(a - b)) < ATOL_NORM
+
+
+def all_detected_probability(eta: float) -> float:
+    """Chance that all nine detectors of a teleport run fire: six Bell-pair and three remote ones."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    return eta**9
+
+
+# ---------------------------------------------------------------------------
+# Instruction kits and parity systems
+
+
+def silent_slot(kit) -> tuple[int, Axis]:
+    """The (player, axis) carrying a kit's stay-silent instruction."""
+    for player in range(3):
+        for axis in (Axis.X, Axis.Y):
+            if kit.entry(player, axis) is InstructionEntry.NOT_DETECTED:
+                return player, axis
+    raise ValueError("kit has no stay-silent entry")
+
+
+def play_with_kit(kit, pattern) -> tuple:
+    """Per-player replies of an admissible kit to a pattern: +1, -1, or NO_DETECTION."""
+    if not kit_is_admissible(kit):
+        raise ValueError("kit is not admissible")
+    return tuple(kit.reply(player, pattern.axes[player]) for player in range(3))
+
+
+def parse_system(text: str) -> ParitySystem:
+    """Parse the plain-text format written by ``parity.format_system``."""
+    variables: list[str] = []
+    constraints: list[ParityConstraint] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "VAR":
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: VAR takes exactly one name")
+            variables.append(parts[1])
+        elif parts[0] == "CON":
+            if len(parts) < 4 or parts[-2] != "=>":
+                raise ValueError(f"line {lineno}: expected 'CON name... => +1|-1'")
+            if parts[-1] not in ("+1", "-1", "1"):
+                raise ValueError(f"line {lineno}: bad target {parts[-1]!r}")
+            constraints.append(
+                ParityConstraint(tuple(parts[1:-2]), 1 if parts[-1] in ("+1", "1") else -1)
+            )
+        else:
+            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+    return ParitySystem(tuple(variables), tuple(constraints))
+
+
+# ---------------------------------------------------------------------------
 # Reference samplers
 #
 # The package's sampling measurements as they were written before sampling
@@ -256,3 +354,89 @@ def ref_bell_measure(state, s1, s2, rnd):
         if collapsed is not None:
             return which, collapsed
     raise RuntimeError("all Bell branches have zero probability")
+
+
+# ---------------------------------------------------------------------------
+# Reference streams and trial loops
+#
+# ``RefTrialStreams`` is the package's per-trial streams as first written:
+# every role is reset onto its trial through numpy's state setter, whether
+# the trial draws from it or not.  The loops below play the quantum team and
+# the generalized-elements check with it and with ``ref_measure_pauli`` on a
+# private copy of the GHZ state, so no memo of the package takes part.
+
+
+class RefTrialStreams:
+    def __init__(self, master_seed: int, n_roles: int):
+        key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+        self._key0 = int(key[0])
+        self._bgs = [np.random.Philox(key=0) for _ in range(n_roles)]
+        self._gens = tuple(np.random.Generator(bg) for bg in self._bgs)
+        self._states = [bg.state for bg in self._bgs]
+        for role, st in enumerate(self._states):
+            st["state"]["key"][:] = key
+            st["state"]["counter"][:] = (0, role, 0, 0)
+            st["buffer_pos"] = 4
+            st["has_uint32"] = 0
+            st["uinteger"] = 0
+
+    def trial(self, index: int):
+        for bg, st in zip(self._bgs, self._states):
+            st["state"]["counter"][2] = index
+            bg.state = st
+        return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._gens
+
+
+def plain_ghz() -> StateVector:
+    return StateVector(3, make_ghz().amps)
+
+
+def ref_quantum_experiment(name: str, eta: float, trials: int, master_seed: int) -> ExperimentReport:
+    """The report of the measuring team at efficiency ``eta``, played trial by trial."""
+    streams = RefTrialStreams(master_seed, 5)
+    counts = {p: [0, 0] for p in PATTERNS}  # trials, wins
+    triple = 0
+    for i in range(trials):
+        _, (referee, _setup, *players) = streams.trial(i)
+        pattern = PATTERNS[int(referee.random() * 4) & 3]
+        state = plain_ghz()
+        product, detected = 1, 0
+        for site, (question, prnd) in enumerate(zip(pattern.axes, players)):
+            if eta < 1.0 and prnd.random() >= eta:
+                product *= 1 if prnd.random() < 0.5 else -1
+            else:
+                outcome, state = ref_measure_pauli(state, site, question, prnd)
+                product *= outcome
+                detected += 1
+        counts[pattern][0] += 1
+        counts[pattern][1] += product == pattern.target
+        triple += detected == 3
+    wins = sum(w for _, w in counts.values())
+    return ExperimentReport(
+        strategy=name,
+        trials=trials,
+        wins=wins,
+        win_rate=wins / trials,
+        per_pattern_trials={p.value: counts[p][0] for p in PATTERNS},
+        per_pattern_win_rates={
+            p.value: (counts[p][1] / counts[p][0] if counts[p][0] else None) for p in PATTERNS
+        },
+        triple_detection_rate=triple / trials,
+        master_seed=master_seed,
+    )
+
+
+def ref_generalized_elements(trials: int, master_seed: int) -> GeneralizedElementsReport:
+    streams = RefTrialStreams(master_seed, 1)
+    checks = []
+    for k, pattern in enumerate(PATTERNS):
+        matches = 0
+        for i in range(trials):
+            _, (rnd,) = streams.trial(k * trials + i)
+            state, product = plain_ghz(), 1
+            for site, axis in enumerate(pattern.axes):
+                outcome, state = ref_measure_pauli(state, site, axis, rnd)
+                product *= outcome
+            matches += product == pattern.target
+        checks.append(PatternCheck(pattern=pattern, trials=trials, target=pattern.target, matches=matches))
+    return GeneralizedElementsReport(tuple(checks))

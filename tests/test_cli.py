@@ -1,9 +1,16 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import sys
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzlab.cli import PlayStats, main, play_session
 
@@ -371,6 +378,39 @@ def test_jsonl_memory_does_not_grow_with_trials(tmp_path):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "game", "--help")[0] == 0
+
+
+# Tokens of fuzzed command lines.  Every subcommand that plays trials gets
+# "--trials 2" first, as the defaults would take seconds; "--out" always
+# comes with a path in a temporary directory, so nothing else is written.
+FUZZ_COMMANDS = ("game", "sweep", "teleport", "prove", "elements", "play", "nonsense", "--help")
+FUZZ_TOKENS = (
+    "classical", "stapp", "--strategy", "quantum", "classical-best", "classical-table", "lhv",
+    "random", "--table", "--eta", "--trials", "--seed", "--format", "--grid", "--help", "text",
+    "json", "jsonl", "csv", "1", "+1", "-1", "0", "2", "0.5", "1.5", "nan", "-0.1", "x", "",
+    "--out", "--out-missing-dir",
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(command=st.sampled_from(FUZZ_COMMANDS), tokens=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8))
+def test_fuzzed_argv_exits_cleanly(command, tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + (["--trials", "2"] if command in ("game", "sweep", "teleport") else [])
+        for k, token in enumerate(tokens):
+            if token == "--out":
+                argv += ["--out", f"{tmp}/out{k}"]
+            elif token == "--out-missing-dir":
+                argv += ["--out", f"{tmp}/missing/out{k}"]
+            else:
+                argv.append(token)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys.stdin, "isatty", lambda: False), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    # no fuzzed input is an internal error (2), let alone a traceback
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_internal_errors_exit_two(capsys, monkeypatch):

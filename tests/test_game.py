@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzlab.game import (
     PATTERNS,
@@ -19,7 +21,8 @@ from ghzlab.game import (
     theoretical_win_rate,
     wins,
 )
-from ghzlab.qsim import Axis
+from ghzlab.prepost import generalized_elements_check
+from ghzlab.qsim import Axis, make_ghz
 
 import oracle
 
@@ -347,3 +350,66 @@ def test_trial_streams_known_answers(seed, role, index, label, floats, integer):
     assert got_label == label
     assert [gens[role].random() for _ in floats] == [float.fromhex(h) for h in floats]
     assert int(gens[role].integers(48)) == integer
+
+
+def test_skipped_role_matches_fresh_streams():
+    streams = TrialStreams(31, 5)
+    for i in range(6):  # role 3 is skipped, role 0 drawn every trial
+        streams.trial(i)[1][0].random()
+    _, gens = streams.trial(6)
+    got = [gens[3].random(), gens[3].random(), int(gens[3].integers(1000))]
+    fresh = TrialStreams(31, 5).trial(6)[1][3]
+    assert got == [fresh.random(), fresh.random(), int(fresh.integers(1000))]
+    ref = oracle.RefTrialStreams(31, 5).trial(6)[1][3]
+    assert got == [ref.random(), ref.random(), int(ref.integers(1000))]
+
+
+def test_role_reads_its_generator_state_after_seeking():
+    def state(gen) -> str:  # Philox states hold arrays, so compare their repr
+        return repr(gen.bit_generator.state)
+
+    streams = TrialStreams(8, 2)
+    _, (_, role) = streams.trial(3)
+    role.random()
+    ref = oracle.RefTrialStreams(8, 2).trial(3)[1][1]
+    ref.random()
+    assert state(role) == state(ref)
+    assert role.standard_normal() == ref.standard_normal()
+    _, (_, role) = streams.trial(4)  # a role read before its first draw seeks too
+    assert state(role) == state(oracle.RefTrialStreams(8, 2).trial(4)[1][1])
+
+
+# ---------------------------------------------------------------------------
+# the shared GHZ tree and the streams against their reference loops
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9, 0.7937, 0.5, 0.0])
+@settings(deadline=None, max_examples=12)
+@given(trials=st.integers(1, 600), seed=st.integers(0, 2**40))
+def test_quantum_experiment_matches_reference_loop(eta, trials, seed):
+    strategy = apply_detection(quantum_strategy(), EfficiencyModel(eta))
+    report = run_experiment(strategy, trials, seed)
+    assert report == oracle.ref_quantum_experiment(strategy.name, eta, trials, seed)
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 4), (300, 11)])
+def test_generalized_elements_match_reference_loop(trials, seed):
+    assert generalized_elements_check(make_ghz(), trials, seed) == oracle.ref_generalized_elements(trials, seed)
+
+
+def shared_nodes(state) -> int:
+    """States in the tree of shared branches below ``state``, itself included."""
+    return 1 + sum(
+        shared_nodes(branch)
+        for entry in state.memo.values()
+        for branch in entry[1:]
+        if branch is not None
+    )
+
+
+def test_shared_ghz_tree_stops_growing():
+    lossy = apply_detection(quantum_strategy(), EfficiencyModel(0.5))
+    run_experiment(lossy, 5000, 21)
+    after_5k = shared_nodes(make_ghz())
+    run_experiment(lossy, 20_000, 22)
+    assert shared_nodes(make_ghz()) == after_5k

