@@ -191,7 +191,7 @@ def cmd_game(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = [float(g) for g in args.grid]
+    grid = args.grid
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise CliError("grid values must lie in [0, 1]")
     rows = []
@@ -400,8 +400,8 @@ def play_session(
 
     Each round shows only player A's question.  The human may answer +1 or
     -1 outright, or measure her simulated particle and answer with the
-    outcome.  Teammates B and C always measure theirs; all three seats are
-    players of :class:`QuantumStrategy`, on the streams ``game`` gives them.
+    outcome.  Teammates B and C always measure theirs; every measuring seat
+    asks the answer rule of :class:`QuantumStrategy` on its ``game`` stream.
     """
     team = game.quantum_strategy()
     streams = TrialStreams(master_seed, 5)
@@ -414,7 +414,7 @@ def play_session(
         _, gens = streams.trial(i)
         i += 1
         referee, setup_rnd, rnd_a, rnd_b, rnd_c = gens
-        player_a, player_b, player_c = team.setup(setup_rnd)
+        shared = team.setup(setup_rnd)
         pattern = draw_pattern(referee)
         axes = pattern.axes
         print_fn(f"round {i}: your question is {axes[0].value.upper()}")
@@ -425,7 +425,7 @@ def play_session(
                 raw = "q"
             token = raw.strip().lower()
             if token in ("m", "measure"):
-                answer_a = player_a(axes[0], rnd_a)
+                answer_a, shared = team.answer(shared, 0, axes[0], rnd_a)
                 mode = "measured"
                 print_fn(f"your particle reads {answer_a:+d}")
                 break
@@ -438,8 +438,8 @@ def play_session(
                     print_fn(line)
                 return stats
             print_fn("please type m, +1, -1, or q")
-        answer_b = player_b(axes[1], rnd_b)
-        answer_c = player_c(axes[2], rnd_c)
+        answer_b, shared = team.answer(shared, 1, axes[1], rnd_b)
+        answer_c, shared = team.answer(shared, 2, axes[2], rnd_c)
         answers = (answer_a, answer_b, answer_c)
         won = wins(pattern, answers)
         stats.record(mode, won)
@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--grid",
         nargs="+",
-        default=("0", "0.25", "0.5", "0.7937", "0.9", "1.0"),
+        type=float,
+        default=(0.0, 0.25, 0.5, 0.7937, 0.9, 1.0),
         metavar="ETA",
     )
     add_common(p_sweep, ("csv", "text", "json"), default_fmt="csv")

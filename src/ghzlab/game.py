@@ -5,14 +5,16 @@ drawn from the four legal patterns XXX, XYY, YXY, YYX.  Players answer
 +1 or -1 without communicating.  The team wins when the product of the
 answers is -1 for the XXX pattern and +1 for the other three patterns.
 
-Players are isolated by construction: a strategy's ``setup`` returns three
-callables and the harness hands each one only its own question and its own
-random stream, so no implementation can react to a teammate's question.
+Players are isolated by construction: a strategy is one answer rule, which
+the harness asks once per seat with only that seat's question and random
+stream, and the round's shared resource (say, a GHZ triple), so no
+implementation can react to a teammate's question.  The harness, not the
+strategy, decides whether a seat's detector fires.
 """
 
 from __future__ import annotations
 
-import functools
+import copy
 import itertools
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .qsim import Axis, RandomSource, make_ghz, measure_pauli
+from .qsim import Axis, RandomSource, StateVector, make_ghz, measure_pauli
 
 
 class QuestionPattern(Enum):
@@ -31,21 +33,12 @@ class QuestionPattern(Enum):
     YXY = "YXY"
     YYX = "YYX"
 
-    @property
-    def axes(self) -> tuple[Axis, Axis, Axis]:
-        return _PATTERN_AXES[self]
-
-    @property
-    def target(self) -> int:
-        """The answer product the team must produce to win."""
-        return -1 if self is QuestionPattern.XXX else 1
+    def __init__(self, value: str):
+        self.axes: tuple[Axis, ...] = tuple(Axis(c.lower()) for c in value)
+        self.target = -1 if value == "XXX" else 1  # the answer product that wins
 
 
 PATTERNS: tuple[QuestionPattern, ...] = tuple(QuestionPattern)
-
-_PATTERN_AXES = {
-    p: tuple(Axis(c.lower()) for c in p.value) for p in PATTERNS
-}
 
 
 class _NoDetection:
@@ -58,9 +51,6 @@ class _NoDetection:
 
 
 NO_DETECTION = _NoDetection()
-
-# A player handle: (own question, own random stream) -> +1 | -1 | NO_DETECTION
-Player = Callable[[Axis, RandomSource], "int | _NoDetection"]
 
 
 def draw_pattern(rnd: RandomSource) -> QuestionPattern:
@@ -145,23 +135,31 @@ def scan_deterministic() -> ScanResult:
 
 
 class Strategy:
-    """A team recipe: per-trial setup producing three isolated players.
+    """A team recipe: a resource shared each round, and one answer rule for every seat.
+
+    ``setup`` draws the round's shared resource from the setup stream, or
+    returns ``None`` when the team shares nothing.  The harness then calls
+    ``answer(shared, site, question, rnd)`` once per seat, in seat order,
+    with that seat's own question and own random stream.  It returns
+    ``(reply, shared)``: the reply is +1, -1 or ``NO_DETECTION``, and
+    ``shared`` is the resource as the next seat finds it.
 
     ``uses_detectors`` marks strategies whose answers come out of a
     measurement device; only those are affected by detection efficiency.
+    ``eta`` is each seat's detection efficiency: below 1 the harness fails
+    a seat's detector with probability ``1 - eta`` and then does not ask
+    that seat's answer rule.
     """
 
     name: str = "abstract"
     uses_detectors: bool = False
+    eta: float = 1.0
 
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
+    def setup(self, rnd: RandomSource):
+        return None
+
+    def answer(self, shared, site: int, question: Axis, rnd: RandomSource):
         raise NotImplementedError
-
-
-def _seat(answer: Callable[[int, Axis, RandomSource], "int | _NoDetection"]):
-    """Three players, each calling ``answer`` with its own site and question only."""
-    seat = functools.partial
-    return seat(answer, 0), seat(answer, 1), seat(answer, 2)
 
 
 class QuantumStrategy(Strategy):
@@ -174,14 +172,11 @@ class QuantumStrategy(Strategy):
     name = "quantum"
     uses_detectors = True
 
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
-        shared = [make_ghz()]
+    def setup(self, rnd: RandomSource) -> StateVector:
+        return make_ghz()
 
-        def answer(site: int, question: Axis, prnd: RandomSource) -> int:
-            outcome, shared[0] = measure_pauli(shared[0], site, question, prnd)
-            return outcome
-
-        return _seat(answer)
+    def answer(self, shared: StateVector, site: int, question: Axis, rnd: RandomSource):
+        return measure_pauli(shared, site, question, rnd)
 
 
 def quantum_strategy() -> Strategy:
@@ -191,32 +186,21 @@ def quantum_strategy() -> Strategy:
 class TableStrategy(Strategy):
     """Players read their answers off a pre-agreed deterministic table."""
 
-    uses_detectors = False
-
     def __init__(self, table: DeterministicTable, name: str | None = None):
         self.table = table
         self.name = name or f"table{tuple(table)}"
 
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
-        table = self.table
-
-        def answer(site: int, question: Axis, prnd: RandomSource) -> int:
-            return table.answer(site, question)
-
-        return _seat(answer)
+    def answer(self, shared, site: int, question: Axis, rnd: RandomSource):
+        return self.table.answer(site, question), shared
 
 
 class RandomStrategy(Strategy):
     """Every player answers with an independent fair coin."""
 
     name = "random"
-    uses_detectors = False
 
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
-        def answer(question: Axis, prnd: RandomSource) -> int:
-            return 1 if prnd.random() < 0.5 else -1
-
-        return answer, answer, answer
+    def answer(self, shared, site: int, question: Axis, rnd: RandomSource):
+        return (1 if rnd.random() < 0.5 else -1), shared
 
 
 @dataclass(frozen=True)
@@ -230,41 +214,19 @@ class EfficiencyModel:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-class DetectionLimitedStrategy(Strategy):
-    """Wrapper that makes each detector fail independently with 1 - eta."""
-
-    uses_detectors = True
-
-    def __init__(self, inner: Strategy, model: EfficiencyModel):
-        self.inner = inner
-        self.model = model
-        self.name = f"{inner.name}[eta={model.eta:g}]"
-
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
-        eta = self.model.eta
-
-        def wrap(p: Player) -> Player:
-            def answer(question: Axis, prnd: RandomSource):
-                # eta == 1 draws nothing, keeping the wrapper bit-identical
-                # to the bare strategy under the same seeds
-                if eta < 1.0 and prnd.random() >= eta:
-                    return NO_DETECTION
-                return p(question, prnd)
-
-            return answer
-
-        return tuple(wrap(p) for p in self.inner.setup(rnd))  # type: ignore[return-value]
-
-
 def apply_detection(strategy: Strategy, model: EfficiencyModel) -> Strategy:
-    """Impose limited detection efficiency on a measuring strategy.
+    """A copy of a measuring strategy whose detectors fire with probability ``model.eta``.
 
     Strategies that never measure (pre-agreed tables, coin flipping) are
-    returned unchanged; there is no detector to fail.
+    returned unchanged; there is no detector to fail.  The argument is
+    left as it was.
     """
     if not strategy.uses_detectors:
         return strategy
-    return DetectionLimitedStrategy(strategy, model)
+    lossy = copy.copy(strategy)
+    lossy.eta = model.eta
+    lossy.name = f"{strategy.name}[eta={model.eta:g}]"
+    return lossy
 
 
 def theoretical_win_rate(eta: float) -> float:
@@ -445,14 +407,22 @@ def _play(
         raise ValueError("trials must be at least 1")
     streams = TrialStreams(master_seed, 5)
     tally = _Tally()
+    answer = strategy.answer
+    eta = strategy.eta
+    lossy = eta < 1.0  # no detection coin at eta == 1, so a lossless copy draws as the bare strategy
     for i in range(trials):
         trial_seed, gens = streams.trial(i)
-        players = strategy.setup(gens[_ROLE_SETUP])
+        shared = strategy.setup(gens[_ROLE_SETUP])
         pattern = draw_pattern(gens[_ROLE_REFEREE])
+        axes = pattern.axes
         answers = []
         detections = []
-        for player, question, prnd in zip(players, pattern.axes, gens[_ROLE_A:]):
-            reply = player(question, prnd)
+        for site in range(3):
+            prnd = gens[_ROLE_A + site]
+            if lossy and prnd.random() >= eta:
+                reply = NO_DETECTION
+            else:
+                reply, shared = answer(shared, site, axes[site], prnd)
             if reply is NO_DETECTION:
                 detections.append(False)
                 answers.append(1 if prnd.random() < 0.5 else -1)

@@ -26,13 +26,11 @@ from .game import (
     NO_DETECTION,
     PATTERNS,
     ExperimentReport,
-    Player,
     QuestionPattern,
     Strategy,
     TrialRecord,
     _NoDetection,
     _play,
-    _seat,
 )
 from .qsim import Axis, RandomSource
 
@@ -144,10 +142,12 @@ class KitStrategy(Strategy):
 
     name = "lhv-instruction-kits"
 
-    def setup(self, rnd: RandomSource) -> tuple[Player, Player, Player]:
+    def setup(self, rnd: RandomSource) -> InstructionKit:
         kits = enumerate_kits()
-        kit = kits[int(rnd.integers(len(kits)))]
-        return _seat(lambda site, question, prnd: kit.reply(site, question))
+        return kits[int(rnd.integers(len(kits)))]
+
+    def answer(self, kit: InstructionKit, site: int, question: Axis, rnd: RandomSource):
+        return kit.reply(site, question), kit
 
 
 @dataclass(frozen=True)

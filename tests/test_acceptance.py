@@ -243,11 +243,12 @@ def test_criterion_8_quantum_core_invariants():
             plus = 0
             for i in range(per_pattern_trials):
                 _, gens = streams.trial(i)
-                players = strategy.setup(gens[0])
+                shared = strategy.setup(gens[0])
                 axes = pattern.axes
-                plus += players[0](axes[0], gens[1]) == 1
-                players[1](axes[1], gens[2])
-                players[2](axes[2], gens[3])
+                reply, shared = strategy.answer(shared, 0, axes[0], gens[1])
+                plus += reply == 1
+                _, shared = strategy.answer(shared, 1, axes[1], gens[2])
+                strategy.answer(shared, 2, axes[2], gens[3])
             marginals.append(plus / per_pattern_trials)
             assert abs(marginals[-1] - 0.5) <= oracle.binomial_4sigma(0.5, per_pattern_trials)
 

@@ -9,7 +9,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlab.cli import PlayStats, main, play_session
@@ -150,6 +150,9 @@ def test_sweep_rejects_bad_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--grid", "1.5")
     assert code == 1
     assert "[0, 1]" in err
+    code, _, err = run_cli(capsys, "sweep", "--trials", "2", "--grid", "x")
+    assert code == 1
+    assert "invalid float value: 'x'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +397,7 @@ FUZZ_TOKENS = (
 
 @settings(deadline=None, max_examples=200)
 @given(command=st.sampled_from(FUZZ_COMMANDS), tokens=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8))
+@example(command="sweep", tokens=["--grid", "x"])
 def test_fuzzed_argv_exits_cleanly(command, tokens):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command] + (["--trials", "2"] if command in ("game", "sweep", "teleport") else [])

@@ -10,6 +10,7 @@ from ghzlab.game import (
     NO_DETECTION,
     QuestionPattern,
     RandomStrategy,
+    Strategy,
     TableStrategy,
     TrialStreams,
     apply_detection,
@@ -133,8 +134,11 @@ def test_quantum_strategy_always_wins_each_pattern():
     for pattern in PATTERNS:
         for i in range(2000):
             _, gens = streams.trial(i)
-            players = strategy.setup(gens[0])
-            answers = [players[j](pattern.axes[j], gens[1 + j]) for j in range(3)]
+            shared = strategy.setup(gens[0])
+            answers = []
+            for j in range(3):
+                reply, shared = strategy.answer(shared, j, pattern.axes[j], gens[1 + j])
+                answers.append(reply)
             assert wins(pattern, answers)
 
 
@@ -143,8 +147,11 @@ def test_quantum_xxx_product_is_minus_one():
     streams = TrialStreams(7, 4)
     for i in range(500):
         _, gens = streams.trial(i)
-        players = strategy.setup(gens[0])
-        answers = [players[j](Axis.X, gens[1 + j]) for j in range(3)]
+        shared = strategy.setup(gens[0])
+        answers = []
+        for j in range(3):
+            reply, shared = strategy.answer(shared, j, Axis.X, gens[1 + j])
+            answers.append(reply)
         assert answers[0] * answers[1] * answers[2] == -1
 
 
@@ -157,10 +164,11 @@ def test_quantum_marginal_is_fair_and_pattern_independent():
         plus = 0
         for i in range(n):
             _, gens = streams.trial(i)
-            players = strategy.setup(gens[0])
-            plus += players[0](pattern.axes[0], gens[1]) == 1
-            players[1](pattern.axes[1], gens[2])
-            players[2](pattern.axes[2], gens[3])
+            shared = strategy.setup(gens[0])
+            reply, shared = strategy.answer(shared, 0, pattern.axes[0], gens[1])
+            plus += reply == 1
+            _, shared = strategy.answer(shared, 1, pattern.axes[1], gens[2])
+            strategy.answer(shared, 2, pattern.axes[2], gens[3])
         rates[pattern] = plus / n
         assert abs(rates[pattern] - 0.5) < oracle.binomial_4sigma(0.5, n)
     # pattern choice elsewhere cannot move player A's marginal
@@ -237,6 +245,76 @@ def test_efficiency_model_validation():
 
 # ---------------------------------------------------------------------------
 # harness
+
+
+class SpyStrategy(Strategy):
+    """Answers +1 and records every call; the shared resource counts the seats asked."""
+
+    name = "spy"
+    uses_detectors = True
+
+    def __init__(self):
+        self.calls = []
+
+    def setup(self, rnd):
+        self.calls.append(("setup", rnd))
+        return 0
+
+    def answer(self, shared, site, question, rnd):
+        self.calls.append(("answer", site, question, rnd, shared))
+        return 1, shared + 1
+
+
+def spy_run(strategy, trials, seed, monkeypatch):
+    """Play ``strategy``, returning its records and the streams of each trial."""
+    streams = []
+    trial = TrialStreams.trial
+
+    def spy_trial(self, index):
+        out = trial(self, index)
+        streams.append(out[1])
+        return out
+
+    monkeypatch.setattr(TrialStreams, "trial", spy_trial)
+    records = []
+    run_experiment(strategy, trials, seed, record_sink=records.append)
+    return records, streams
+
+
+def test_each_seat_sees_only_its_question_and_stream(monkeypatch):
+    spy = SpyStrategy()
+    records, streams = spy_run(spy, 50, 3, monkeypatch)
+    assert len(spy.calls) == 4 * len(records)
+    calls = iter(spy.calls)
+    for rec, gens in zip(records, streams):
+        assert next(calls) == ("setup", gens[1])
+        for site in range(3):
+            # the last item is the resource, as the seat before left it
+            assert next(calls) == ("answer", site, rec.pattern.axes[site], gens[2 + site], site)
+        assert rec.detections == (True, True, True)
+
+
+def test_undetected_seat_is_never_asked(monkeypatch):
+    lossy = apply_detection(SpyStrategy(), EfficiencyModel(0.5))
+    records, streams = spy_run(lossy, 200, 4, monkeypatch)
+    calls = iter(lossy.calls)
+    for rec, gens in zip(records, streams):
+        assert next(calls) == ("setup", gens[1])
+        for site in range(3):
+            if rec.detections[site]:
+                assert next(calls)[1:4] == (site, rec.pattern.axes[site], gens[2 + site])
+                assert rec.answers[site] == 1
+    assert next(calls, None) is None
+    flags = [d for rec in records for d in rec.detections]
+    assert any(flags) and not all(flags)
+
+
+def test_apply_detection_leaves_its_argument_alone():
+    bare = quantum_strategy()
+    lossy = apply_detection(bare, EfficiencyModel(0.5))
+    assert lossy is not bare
+    assert (bare.eta, bare.name) == (1.0, "quantum")
+    assert (lossy.eta, lossy.name) == (0.5, "quantum[eta=0.5]")
 
 
 def test_run_experiment_reproducible():
