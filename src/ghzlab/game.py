@@ -33,6 +33,8 @@ class QuestionPattern(Enum):
     YXY = "YXY"
     YYX = "YYX"
 
+    __hash__ = object.__hash__
+
     def __init__(self, value: str):
         self.axes: tuple[Axis, ...] = tuple(Axis(c.lower()) for c in value)
         self.target = -1 if value == "XXX" else 1  # the answer product that wins

@@ -169,9 +169,6 @@ def element_of_reality(
 # The deterministic product conditionals of the GHZ preparation
 
 
-_PRODUCT_TARGETS = (("xxx", -1), ("xyy", 1), ("yxy", 1), ("yyx", 1))
-
-
 @dataclass(frozen=True)
 class ConditionalEntry:
     observable: ProductObservable
@@ -207,14 +204,14 @@ def conditionals_check(pre: StateVector) -> ConditionalsReport:
     rnd = np.random.default_rng(0)
     entries = []
     observables = []
-    for axes, target in _PRODUCT_TARGETS:
-        obs = pauli_product(axes)
+    for pattern in PATTERNS:
+        obs = pauli_product(pattern.value.lower())
         observables.append(obs)
         expectation = expectation_product(pre, obs)
         entries.append(
             ConditionalEntry(
                 observable=obs,
-                target=target,
+                target=pattern.target,
                 expectation=expectation,
                 measured_value=measure_product(pre, obs, rnd)[0],
                 deterministic=abs(abs(expectation) - 1.0) < 1e-9,

@@ -8,7 +8,8 @@ Conventions, fixed here and relied on by every other module:
 * Pauli phases: ``sigma_y |up> = i |down>`` and ``sigma_y |down> = -i |up>``.
 * Bell basis: ``Phi+- = (|uu> +- |dd>)/sqrt2`` and ``Psi+- = (|ud> +- |du>)/
   sqrt2``, where the first arrow belongs to the first site of the measured
-  pair as passed to :func:`bell_measure`.
+  pair as passed to :func:`bell_measure`.  Each :class:`BellIndex` member
+  holds its two nonzero components; the Pauli eigenvectors are ``_EIGVEC``.
 
 States are value objects: amplitude buffers are marked read-only, so a
 state can be shared.  ``make_ghz()`` returns one cached state, and
@@ -38,6 +39,8 @@ MIN_BRANCH_PROB = 1e-15
 
 RandomSource = np.random.Generator
 
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+
 
 class Axis(Enum):
     """A spin measurement axis with outcomes +1 and -1."""
@@ -46,26 +49,31 @@ class Axis(Enum):
     Y = "y"
     Z = "z"
 
+    __hash__ = object.__hash__
+
 
 class BellIndex(Enum):
-    """The four maximally entangled two-site basis states."""
+    """The four maximally entangled two-site basis states.
 
-    PHI_PLUS = "phi_plus"
-    PHI_MINUS = "phi_minus"
-    PSI_PLUS = "psi_plus"
-    PSI_MINUS = "psi_minus"
+    Each member carries its display ``label`` and its two nonzero, real
+    ``terms`` ``(p, component)``, over the pair value p = bit(s1) + 2*bit(s2)
+    in ascending p.  ``value`` is the name written to JSON.
+    """
 
-    @property
-    def label(self) -> str:
-        return {
-            BellIndex.PHI_PLUS: "Phi+",
-            BellIndex.PHI_MINUS: "Phi-",
-            BellIndex.PSI_PLUS: "Psi+",
-            BellIndex.PSI_MINUS: "Psi-",
-        }[self]
+    PHI_PLUS = ("phi_plus", "Phi+", ((0, _SQRT1_2), (3, _SQRT1_2)))
+    PHI_MINUS = ("phi_minus", "Phi-", ((0, _SQRT1_2), (3, -_SQRT1_2)))
+    PSI_PLUS = ("psi_plus", "Psi+", ((1, _SQRT1_2), (2, _SQRT1_2)))
+    PSI_MINUS = ("psi_minus", "Psi-", ((1, -_SQRT1_2), (2, _SQRT1_2)))
 
+    __hash__ = object.__hash__
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+    def __new__(cls, value: str, label: str, terms: tuple[tuple[int, float], ...]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.label = label
+        member.terms = terms
+        return member
+
 
 _PAULI = {
     Axis.X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -83,19 +91,11 @@ _EIGVEC = {
     (Axis.Z, -1): (0j, 1.0 + 0j),
 }
 
-# Unitary mapping the +1/-1 eigenbasis of each axis onto |0>, |1>.
+# Unitary mapping the +1/-1 eigenbasis of each axis onto |0>, |1>: its rows
+# are the conjugated eigenvectors.
 _TO_Z_BASIS = {
-    Axis.X: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
-    Axis.Y: np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT1_2,
-    Axis.Z: np.eye(2, dtype=complex),
-}
-
-# Components of each Bell vector over the pair basis p = bit(s1) + 2*bit(s2).
-_BELL_COMPONENTS = {
-    BellIndex.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT1_2,
-    BellIndex.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT1_2,
-    BellIndex.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT1_2,
-    BellIndex.PSI_MINUS: np.array([0, -1, 1, 0], dtype=complex) * _SQRT1_2,
+    axis: np.conj(np.array([_EIGVEC[(axis, 1)], _EIGVEC[(axis, -1)]], dtype=complex))
+    for axis in Axis
 }
 
 
@@ -232,13 +232,7 @@ def pauli_eigenstate(axis: Axis, sign: int) -> StateVector:
     """Single-site eigenstate of a Pauli axis with eigenvalue ``sign``."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if axis is Axis.Z:
-        amps = [1, 0] if sign == 1 else [0, 1]
-    elif axis is Axis.X:
-        amps = [_SQRT1_2, sign * _SQRT1_2]
-    else:
-        amps = [_SQRT1_2, sign * 1j * _SQRT1_2]
-    return StateVector(1, np.array(amps, dtype=complex), copy=False)
+    return StateVector(1, _EIGVEC[(axis, sign)])
 
 
 @lru_cache(maxsize=1)
@@ -491,7 +485,8 @@ def _bell_overlaps(
     groups = _pair_split(n, s1, s2)
     parts = [state.amps[g] for g in groups]
     return groups, [
-        sum(np.conj(_BELL_COMPONENTS[which][p]) * parts[p] for p in range(4)) for which in outcomes
+        cp.conjugate() * parts[p] + cq.conjugate() * parts[q]
+        for (p, cp), (q, cq) in (which.terms for which in outcomes)
     ]
 
 
@@ -499,12 +494,10 @@ def _bell_collapse(
     n: int, groups: tuple[np.ndarray, ...], which: BellIndex, coeff: np.ndarray, prob: float
 ) -> StateVector:
     """Rebuild the full renormalized state from a Bell overlap field."""
-    v = _BELL_COMPONENTS[which]
     coeff = coeff / math.sqrt(prob)
     out = np.zeros(1 << n, dtype=complex)
-    for q in range(4):
-        if v[q] != 0:
-            out[groups[q]] = v[q] * coeff
+    for p, c in which.terms:
+        out[groups[p]] = c * coeff
     return StateVector._renormalized(n, out)
 
 

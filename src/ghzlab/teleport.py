@@ -212,10 +212,8 @@ def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:
     for rec in records:
         p = rec.pattern
         pattern_counts[p] += 1
-        a, b, c = rec.corrected_outcomes
-        corrected_hits[p] += a * b * c == p.target
-        a, b, c = rec.raw_outcomes
-        raw_hits[p] += a * b * c == p.target
+        corrected_hits[p] += rec.win
+        raw_hits[p] += wins(p, rec.raw_outcomes)
         histogram[rec.bell_outcomes] = histogram.get(rec.bell_outcomes, 0) + 1
     per_pattern = {
         p.value: PatternRates(

@@ -24,8 +24,6 @@ from ghzlab.lhv import InstructionEntry, kit_is_admissible
 from ghzlab.parity import ParityConstraint, ParitySystem
 from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
 from ghzlab.qsim import (
-    _BELL_COMPONENTS,
-    _EIGVEC,
     MIN_BRANCH_PROB,
     Axis,
     BellIndex,
@@ -48,6 +46,16 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 ID2 = np.eye(2, dtype=complex)
+
+# The +1/-1 eigenvectors of each axis in the z basis, keyed (axis, outcome).
+EIGVEC = {
+    (Axis.X, 1): (SQ2, SQ2),
+    (Axis.X, -1): (SQ2, -SQ2),
+    (Axis.Y, 1): (SQ2, 1j * SQ2),
+    (Axis.Y, -1): (SQ2, -1j * SQ2),
+    (Axis.Z, 1): (1.0 + 0j, 0j),
+    (Axis.Z, -1): (0j, 1.0 + 0j),
+}
 
 # The four Bell vectors over two sites (first site = low bit of the index).
 BELL_VECTORS = {
@@ -281,7 +289,7 @@ def ref_pick_branch(rnd, p_plus: float) -> int:
 
 def _ref_site_collapse(n, site, axis, outcome, coeff, prob) -> np.ndarray:
     i0, i1 = _site_split(n, site)
-    v0, v1 = _EIGVEC[(axis, outcome)]
+    v0, v1 = EIGVEC[(axis, outcome)]
     inv = 1.0 / math.sqrt(prob)
     out = np.zeros(1 << n, dtype=complex)
     if v0:
@@ -321,7 +329,7 @@ def ref_measure_product(state, obs, rnd):
 def ref_bell_project(state, s1, s2, which):
     n = state.num_sites
     groups = _pair_split(n, s1, s2)
-    v = _BELL_COMPONENTS[which]
+    v = BELL_VECTORS[which.value]
     coeff = sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:

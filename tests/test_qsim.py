@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlab.qsim import (
+    _EIGVEC,
+    _TO_Z_BASIS,
     Axis,
     BellIndex,
     ProductObservable,
@@ -70,6 +72,30 @@ def test_bell_basis_orthonormal():
     vectors = [oracle.BELL_VECTORS[b.value] for b in BellIndex]
     gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
     assert np.allclose(gram, np.eye(4), atol=1e-12)
+
+
+def test_bell_members_expand_to_the_oracle_vectors():
+    for b in BellIndex:
+        dense = np.zeros(4, dtype=complex)
+        for p, c in b.terms:
+            dense[p] = c
+        assert np.array_equal(dense, oracle.BELL_VECTORS[b.value]), b
+    assert [b.label for b in BellIndex] == ["Phi+", "Phi-", "Psi+", "Psi-"]
+    assert BellIndex("psi_minus") is BellIndex.PSI_MINUS
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+@pytest.mark.parametrize("outcome", [1, -1])
+def test_eigvec_is_unit_eigenvector(axis, outcome):
+    v = np.array(_EIGVEC[(axis, outcome)], dtype=complex)
+    assert abs(np.vdot(v, v).real - 1.0) < 1e-12
+    assert np.allclose(oracle.PAULI[axis.value] @ v, outcome * v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_to_z_basis_is_unitary(axis):
+    u = _TO_Z_BASIS[axis]
+    assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_state_vector_validation():
