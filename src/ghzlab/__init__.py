@@ -25,6 +25,7 @@ from .qsim import (
     tensor_product,
 )
 from .game import (
+    DeterministicTable,
     EfficiencyModel,
     ExperimentReport,
     QuestionPattern,
@@ -38,7 +39,7 @@ from .game import (
     theoretical_win_rate,
     wins,
 )
-from .lhv import InstructionKit, enumerate_kits, kit_is_admissible, lhv_statistics
+from .lhv import enumerate_kits, kit_is_admissible, lhv_statistics
 from .parity import (
     ParityConstraint,
     ParitySystem,
@@ -66,9 +67,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis",
     "BellIndex",
+    "DeterministicTable",
     "EfficiencyModel",
     "ExperimentReport",
-    "InstructionKit",
     "ParityConstraint",
     "ParitySystem",
     "PrePostEnsemble",

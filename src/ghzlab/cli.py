@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import game, lhv, parity, prepost, teleport
-from .game import PATTERNS, EfficiencyModel, TrialStreams, draw_pattern, wins
+from .game import PATTERNS, EfficiencyModel
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 0
@@ -165,6 +165,8 @@ def _lhv_text(report) -> str:
 
 
 def cmd_game(args) -> int:
+    if args.table and args.strategy != "classical-table":
+        raise CliError("--table applies only to --strategy classical-table")
     if args.strategy == "lhv":
         if args.eta != 1.0:
             raise CliError("the lhv strategy has its own detection model; --eta does not apply")
@@ -390,66 +392,64 @@ class PlayStats:
         return lines
 
 
-def play_session(
-    master_seed: int,
-    input_fn: Callable[[str], str],
-    print_fn: Callable[[str], None],
-    max_rounds: int | None = None,
-) -> PlayStats:
-    """Interactive loop: the caller is player A on a quantum team.
+class _TerminalSeat(game.QuantumStrategy):
+    """A quantum team whose seat 0 asks the terminal to measure or to answer +1 / -1.
 
-    Each round shows only player A's question.  The human may answer +1 or
-    -1 outright, or measure her simulated particle and answer with the
-    outcome.  Teammates B and C always measure theirs; every measuring seat
-    asks the answer rule of :class:`QuantumStrategy` on its ``game`` stream.
+    ``mode`` says which that seat did last.  Quitting raises ``EOFError``,
+    as end of input does, and so ends the run.
     """
-    team = game.quantum_strategy()
-    streams = TrialStreams(master_seed, 5)
-    stats = PlayStats()
+
+    def __init__(self, input_fn: Callable[[str], str], print_fn: Callable[[str], None]):
+        self.input_fn, self.print_fn = input_fn, print_fn
+        self.stats = PlayStats()
+        self.mode = "measured"
+
+    def answer(self, shared, site, question, rnd):
+        if site:
+            return super().answer(shared, site, question, rnd)
+        self.print_fn(f"round {self.stats.rounds + 1}: your question is {question.value.upper()}")
+        while True:
+            token = self.input_fn("[m]easure your particle, answer +1 / -1, or [q]uit: ").strip().lower()
+            if token in ("m", "measure"):
+                self.mode = "measured"
+                reply, shared = super().answer(shared, site, question, rnd)
+                self.print_fn(f"your particle reads {reply:+d}")
+                return reply, shared
+            if token in ("+1", "1", "-1"):
+                self.mode = "chosen"
+                return (-1 if token == "-1" else 1), shared
+            if token in ("q", "quit"):
+                raise EOFError
+            self.print_fn("please type m, +1, -1, or q")
+
+
+def play_session(
+    master_seed: int, input_fn: Callable[[str], str], print_fn: Callable[[str], None]
+) -> PlayStats:
+    """Interactive run: the caller is player A on a quantum team.
+
+    Each round shows only player A's question, which the caller answers +1
+    or -1 outright or by measuring the simulated particle; teammates B and
+    C always measure theirs.  Rounds are ``game.run_experiment`` trials.
+    """
+    team = _TerminalSeat(input_fn, print_fn)
+
+    def show(rec: game.TrialRecord) -> None:
+        team.stats.record(team.mode, rec.win)
+        a, b, c = rec.answers
+        print_fn(
+            f"pattern was {rec.pattern.value}; answers {a:+d} {b:+d} {c:+d} "
+            f"multiply to {a * b * c:+d} -> {'WIN' if rec.win else 'LOSS'}"
+        )
+
     print_fn("you are player A; teammates B and C each hold one particle of a")
     print_fn("shared GHZ triple and will measure whatever they are asked.")
     print_fn("win condition: answer product -1 for pattern XXX, +1 otherwise.")
-    i = 0
-    while max_rounds is None or i < max_rounds:
-        _, gens = streams.trial(i)
-        i += 1
-        referee, setup_rnd, rnd_a, rnd_b, rnd_c = gens
-        shared = team.setup(setup_rnd)
-        pattern = draw_pattern(referee)
-        axes = pattern.axes
-        print_fn(f"round {i}: your question is {axes[0].value.upper()}")
-        while True:
-            try:
-                raw = input_fn("[m]easure your particle, answer +1 / -1, or [q]uit: ")
-            except EOFError:
-                raw = "q"
-            token = raw.strip().lower()
-            if token in ("m", "measure"):
-                answer_a, shared = team.answer(shared, 0, axes[0], rnd_a)
-                mode = "measured"
-                print_fn(f"your particle reads {answer_a:+d}")
-                break
-            if token in ("+1", "1", "-1"):
-                answer_a = 1 if token in ("+1", "1") else -1
-                mode = "chosen"
-                break
-            if token in ("q", "quit"):
-                for line in stats.summary_lines():
-                    print_fn(line)
-                return stats
-            print_fn("please type m, +1, -1, or q")
-        answer_b, shared = team.answer(shared, 1, axes[1], rnd_b)
-        answer_c, shared = team.answer(shared, 2, axes[2], rnd_c)
-        answers = (answer_a, answer_b, answer_c)
-        won = wins(pattern, answers)
-        stats.record(mode, won)
-        print_fn(
-            f"pattern was {pattern.value}; answers {answer_a:+d} {answer_b:+d} {answer_c:+d} "
-            f"multiply to {answer_a * answer_b * answer_c:+d} -> {'WIN' if won else 'LOSS'}"
-        )
-    for line in stats.summary_lines():
+    with contextlib.suppress(EOFError):
+        game.run_experiment(team, sys.maxsize, master_seed, record_sink=show)
+    for line in team.stats.summary_lines():
         print_fn(line)
-    return stats
+    return team.stats
 
 
 def cmd_play(args) -> int:

@@ -70,37 +70,44 @@ def wins(pattern: QuestionPattern, answers: Sequence[int]) -> bool:
 # Deterministic strategies and the exhaustive scan
 
 
-class DeterministicTable(
-    tuple
-):  # (x_a, y_a, x_b, y_b, x_c, y_c), each +1 or -1
-    """A full pre-agreed answer table, one entry per (player, question)."""
+class DeterministicTable(tuple):  # (x_a, y_a, x_b, y_b, x_c, y_c)
+    """A pre-agreed answer table, one reply per (player, question) slot.
+
+    A reply is +1 or -1, or, in an instruction kit (``ghzlab.lhv``),
+    ``NO_DETECTION``: the seat's detector stays silent when asked that slot.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, x_a: int, y_a: int, x_b: int, y_b: int, x_c: int, y_c: int):
-        entries = (x_a, y_a, x_b, y_b, x_c, y_c)
-        if any(e not in (1, -1) for e in entries):
-            raise ValueError(f"table entries must be +1 or -1, got {entries}")
-        return super().__new__(cls, entries)
+    def __new__(cls, x_a, y_a, x_b, y_b, x_c, y_c):
+        replies = (x_a, y_a, x_b, y_b, x_c, y_c)
+        if any(r not in (1, -1) and r is not NO_DETECTION for r in replies):
+            raise ValueError(f"table replies must be +1, -1 or NO_DETECTION, got {replies}")
+        return super().__new__(cls, replies)
 
-    def answer(self, player: int, question: Axis) -> int:
+    def answer(self, player: int, question: Axis) -> "int | _NoDetection":
         return self[2 * player + (0 if question is Axis.X else 1)]
 
     def expected_win_rate(self) -> float:
-        """Exact win rate under uniformly drawn patterns."""
+        """Exact win rate of a table with no silent reply under uniformly drawn patterns."""
         hits = sum(wins(p, play_deterministic(self, p)) for p in PATTERNS)
         return hits / len(PATTERNS)
+
+    def describe(self) -> str:
+        """The replies slot by slot, such as ``A.x=+1 ... C.y=silent``."""
+        return " ".join(
+            f"{'ABC'[k // 2]}.{'xy'[k % 2]}=" + ("silent" if r is NO_DETECTION else f"{r:+d}")
+            for k, r in enumerate(self)
+        )
 
     def __repr__(self) -> str:
         return "DeterministicTable" + tuple.__repr__(self)
 
 
-def play_deterministic(
-    table: DeterministicTable, pattern: QuestionPattern
-) -> tuple[int, int, int]:
-    """Answers the table produces for a pattern."""
+def play_deterministic(table: DeterministicTable, pattern: QuestionPattern) -> tuple:
+    """Replies the table gives to a pattern."""
     ax = pattern.axes
-    return tuple(table.answer(i, ax[i]) for i in range(3))  # type: ignore[return-value]
+    return tuple(table.answer(i, ax[i]) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,10 @@ def scan_deterministic() -> ScanResult:
 class Strategy:
     """A team recipe: a resource shared each round, and one answer rule for every seat.
 
-    ``setup`` draws the round's shared resource from the setup stream, or
-    returns ``None`` when the team shares nothing.  The harness then calls
+    ``setup`` draws the round's shared resource from the setup stream: a
+    GHZ triple, or an answer table that every seat reads by one rule
+    (``TableStrategy`` hands out its one table, ``lhv.KitStrategy`` draws a
+    kit), or ``None`` when the team shares nothing.  The harness then calls
     ``answer(shared, site, question, rnd)`` once per seat, in seat order,
     with that seat's own question and own random stream.  It returns
     ``(reply, shared)``: the reply is +1, -1 or ``NO_DETECTION``, and
@@ -186,14 +195,23 @@ def quantum_strategy() -> Strategy:
 
 
 class TableStrategy(Strategy):
-    """Players read their answers off a pre-agreed deterministic table."""
+    """Players read their answers off a pre-agreed table, shared as the round's resource.
+
+    ``setup`` hands every round the one table and draws nothing.  The answer
+    rule is the one every pre-agreed team plays by: a seat replies with its
+    table's entry for the question asked.  ``lhv.KitStrategy`` plays by the
+    same rule and differs only in drawing a fresh table, a kit, each round.
+    """
 
     def __init__(self, table: DeterministicTable, name: str | None = None):
         self.table = table
         self.name = name or f"table{tuple(table)}"
 
-    def answer(self, shared, site: int, question: Axis, rnd: RandomSource):
-        return self.table.answer(site, question), shared
+    def setup(self, rnd: RandomSource) -> DeterministicTable:
+        return self.table
+
+    def answer(self, table: DeterministicTable, site: int, question: Axis, rnd: RandomSource):
+        return table.answer(site, question), table
 
 
 class RandomStrategy(Strategy):

@@ -262,13 +262,6 @@ def build_stapp_system(actual_x: Sequence[int]) -> ParitySystem:
 # Text and JSON output
 
 
-def format_system(system: ParitySystem) -> str:
-    lines = [f"VAR {name}" for name in system.variables]
-    for con in system.constraints:
-        lines.append(f"CON {' '.join(con.vars)} => {con.target:+d}")
-    return "\n".join(lines) + "\n"
-
-
 def result_to_json_dict(result: "Sat | Unsat") -> dict:
     if isinstance(result, Sat):
         return {"status": "sat", "assignment": dict(result.assignment)}

@@ -6,11 +6,11 @@ package itself never forms full operator matrices, so agreement between
 the two routes is a meaningful check.
 
 The helpers that follow the matrices (amplitude lookup, basis states,
-applying a product, state-based commutation, kit replies, parsing parity
-systems) serve the tests only.  The reference samplers at the end are the
-package's sampling measurements and per-trial streams in their earlier,
-separately written form, kept so that seeded runs of the package can be
-compared with them exactly.
+applying a product, state-based commutation, kit replies, writing and
+parsing parity systems) serve the tests only.  The reference samplers at
+the end are the package's sampling measurements and per-trial streams in
+their earlier, separately written form, kept so that seeded runs of the
+package can be compared with them exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from ghzlab.game import _GOLDEN_GAMMA, PATTERNS, ExperimentReport
-from ghzlab.lhv import InstructionEntry, kit_is_admissible
+from ghzlab.game import _GOLDEN_GAMMA, NO_DETECTION, PATTERNS, ExperimentReport
+from ghzlab.lhv import kit_is_admissible
 from ghzlab.parity import ParityConstraint, ParitySystem
 from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
 from ghzlab.qsim import (
@@ -225,7 +225,7 @@ def silent_slot(kit) -> tuple[int, Axis]:
     """The (player, axis) carrying a kit's stay-silent instruction."""
     for player in range(3):
         for axis in (Axis.X, Axis.Y):
-            if kit.entry(player, axis) is InstructionEntry.NOT_DETECTED:
+            if kit.answer(player, axis) is NO_DETECTION:
                 return player, axis
     raise ValueError("kit has no stay-silent entry")
 
@@ -234,11 +234,19 @@ def play_with_kit(kit, pattern) -> tuple:
     """Per-player replies of an admissible kit to a pattern: +1, -1, or NO_DETECTION."""
     if not kit_is_admissible(kit):
         raise ValueError("kit is not admissible")
-    return tuple(kit.reply(player, pattern.axes[player]) for player in range(3))
+    return tuple(kit.answer(player, pattern.axes[player]) for player in range(3))
+
+
+def format_system(system: ParitySystem) -> str:
+    """A parity system in the plain-text format ``parse_system`` reads."""
+    lines = [f"VAR {name}" for name in system.variables]
+    for con in system.constraints:
+        lines.append(f"CON {' '.join(con.vars)} => {con.target:+d}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str) -> ParitySystem:
-    """Parse the plain-text format written by ``parity.format_system``."""
+    """Parse the plain-text format written by ``format_system``."""
     variables: list[str] = []
     constraints: list[ParityConstraint] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

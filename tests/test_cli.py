@@ -273,6 +273,10 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "game", "--eta", "2")[0] == 1
     assert run_cli(capsys, "game", "--seed", "-1")[0] == 1
     assert run_cli(capsys, "game", "--strategy", "nope")[0] == 1
+    code, _, err = run_cli(
+        capsys, "game", "--strategy", "quantum", "--table", *["1"] * 6, "--trials", "5"
+    )
+    assert code == 1 and "--table" in err
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
@@ -317,6 +321,17 @@ KNOWN_OUTPUTS = [
         ("game", "--strategy", "lhv", "--trials", "1000", "--seed", "7", "--format", "json"),
         "af7c01ba811133ed7c2b476e04927025b88bb6af50fa9db61437817d6ff677b1",
         id="game-lhv-json",
+    ),
+    pytest.param(
+        ("game", "--strategy", "classical-table", "--table", "1", "-1", "1", "1", "-1", "1",
+         "--trials", "300", "--seed", "7", "--format", "jsonl"),
+        "49f3406c7bd966cb6373f57740c424799b1d193a0dc481699457c976d84e05d9",
+        id="game-classical-table-jsonl",
+    ),
+    pytest.param(
+        ("game", "--strategy", "classical-best", "--trials", "300", "--seed", "7", "--format", "json"),
+        "c3e4c7664b5aa0bf52b5486e038a9e3225c1e00bf1d0e3eb58428b67ef26ccb1",
+        id="game-classical-best-json",
     ),
     pytest.param(
         ("sweep", "--trials", "200", "--seed", "7", "--format", "csv"),
@@ -442,7 +457,7 @@ def test_play_requires_tty(capsys, monkeypatch):
     assert "interactive" in err
 
 
-def scripted_session(inputs, master_seed=0, max_rounds=None):
+def scripted_session(inputs, master_seed=0):
     lines = []
     feed = iter(inputs)
 
@@ -452,7 +467,7 @@ def scripted_session(inputs, master_seed=0, max_rounds=None):
         except StopIteration:
             raise EOFError
 
-    stats = play_session(master_seed, input_fn, lines.append, max_rounds=max_rounds)
+    stats = play_session(master_seed, input_fn, lines.append)
     return stats, "\n".join(lines)
 
 
@@ -490,6 +505,23 @@ def test_play_rejects_garbage_then_continues():
     stats, transcript = scripted_session(["banana", "m", "q"])
     assert stats.rounds == 1
     assert "please type m, +1, -1, or q" in transcript
+
+
+# Scripted sessions that mix measuring, fixed answers, garbage, quitting and
+# end of input; any change to a transcript or to its tallies fails here.
+PLAY_SCRIPTS = (
+    ("m", "+1", "banana", "-1", "m", "1", "", "m", "q"),
+    ("-1", "measure", "+1", "?", "m", "m", "-1"),  # ends at end of input
+)
+
+
+def test_play_transcripts_known_answer():
+    digest = hashlib.sha256()
+    for seed in (0, 7, 12345):
+        for script in PLAY_SCRIPTS:
+            stats, transcript = scripted_session(script, seed)
+            digest.update(f"{transcript}\n{json.dumps(stats.data)}\n".encode())
+    assert digest.hexdigest() == "e80114ca9db6901aa0f230bf28bcdf5a6651ca40082056b69e8563c34a91068d"
 
 
 def test_play_stats_streaks():

@@ -5,6 +5,7 @@ import pytest
 from ghzlab.game import (
     NO_DETECTION,
     PATTERNS,
+    DeterministicTable,
     EfficiencyModel,
     QuestionPattern,
     apply_detection,
@@ -12,8 +13,6 @@ from ghzlab.game import (
     run_experiment,
 )
 from ghzlab.lhv import (
-    InstructionEntry,
-    InstructionKit,
     enumerate_kits,
     kit_is_admissible,
     lhv_statistics,
@@ -22,11 +21,11 @@ from ghzlab.qsim import Axis
 
 import oracle
 
-P, M, ND = InstructionEntry.PLUS, InstructionEntry.MINUS, InstructionEntry.NOT_DETECTED
+P, M, ND = 1, -1, NO_DETECTION
 
 
 def kit(*entries):
-    return InstructionKit(tuple(entries))
+    return DeterministicTable(*entries)
 
 
 def test_enumerate_kits_non_empty_and_admissible():
@@ -34,13 +33,13 @@ def test_enumerate_kits_non_empty_and_admissible():
     assert len(kits) == 48
     for k in kits:
         assert kit_is_admissible(k)
-        assert sum(e is ND for e in k.entries) == 1
+        assert sum(e is ND for e in k) == 1
 
 
 def test_enumerate_kits_sorted():
     kits = enumerate_kits()
     rank = {P: 0, M: 1, ND: 2}
-    keys = [tuple(rank[e] for e in k.entries) for k in kits]
+    keys = [tuple(rank[e] for e in k) for k in kits]
     assert keys == sorted(keys)
 
 
@@ -61,7 +60,7 @@ def test_kit_admissibility_counterexamples():
     # A.X silent, but the YXY pattern product y_a * x_b * y_c is -1, not +1
     bad = kit(ND, P, M, P, P, P)
     assert (
-        bad.entry(0, Axis.Y).sign * bad.entry(1, Axis.X).sign * bad.entry(2, Axis.Y).sign == -1
+        bad.answer(0, Axis.Y) * bad.answer(1, Axis.X) * bad.answer(2, Axis.Y) == -1
     )
     assert not kit_is_admissible(bad)
 

@@ -12,7 +12,6 @@ from ghzlab.parity import (
     build_stapp_system,
     drop_one_analysis,
     format_proof,
-    format_system,
     result_to_json_dict,
     solve_enumerate,
     solve_gf2,
@@ -237,7 +236,7 @@ def test_enumerate_prefers_plus_one():
 
 def test_format_parse_round_trip():
     s = build_stapp_system((1, 1, -1))
-    again = oracle.parse_system(format_system(s))
+    again = oracle.parse_system(oracle.format_system(s))
     assert again == s
 
 

@@ -55,12 +55,17 @@ TRACED_COMMANDS = (
     (("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "200", "--seed", "5",
       "--format", "jsonl"), 1281, 540),
     (("game", "--strategy", "lhv", "--trials", "200", "--seed", "5", "--format", "json"), 501, 0),
+    # a table team draws only the referee's pattern: its setup draws nothing
+    (("game", "--strategy", "classical-best", "--trials", "200", "--seed", "5", "--format", "json"),
+     200, 0),
+    (("game", "--strategy", "random", "--trials", "200", "--seed", "5", "--format", "json"), 800, 0),
     (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 251, 240),
 )
 
 
 @pytest.mark.parametrize("argv, draws, collapses", TRACED_COMMANDS,
-                         ids=["game-quantum-eta-jsonl", "game-lhv-json", "teleport-json"])
+                         ids=["game-quantum-eta-jsonl", "game-lhv-json", "game-classical-best-json",
+                              "game-random-json", "teleport-json"])
 def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     from ghzlab.cli import main
 
