@@ -9,10 +9,8 @@ wins every single time.
 """
 
 from ghzlab.game import (
-    EfficiencyModel,
     PATTERNS,
     TableStrategy,
-    apply_detection,
     quantum_strategy,
     run_experiment,
     scan_deterministic,
@@ -28,7 +26,7 @@ def main():
     contenders = [
         TableStrategy(best_table, name="best deterministic table"),
         quantum_strategy(),
-        apply_detection(quantum_strategy(), EfficiencyModel(0.9)),
+        quantum_strategy(0.9),
     ]
     for strategy in contenders:
         report = run_experiment(strategy, TRIALS, master_seed=1)

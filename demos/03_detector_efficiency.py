@@ -7,8 +7,6 @@ therefore needs eta^3 > 0.5, i.e. eta above 0.5**(1/3), about 0.794.
 """
 
 from ghzlab.game import (
-    EfficiencyModel,
-    apply_detection,
     quantum_strategy,
     run_experiment,
     theoretical_win_rate,
@@ -26,7 +24,7 @@ def main():
     print()
     print(f"{'eta':>8}  {'empirical':>10}  {'formula':>10}   ({TRIALS} trials per row)")
     for k, eta in enumerate(GRID):
-        strategy = apply_detection(quantum_strategy(), EfficiencyModel(eta))
+        strategy = quantum_strategy(eta)
         report = run_experiment(strategy, TRIALS, master_seed=k)
         marker = "  <- beats any classical team" if theoretical_win_rate(eta) > 0.75 else ""
         print(f"{eta:8.4f}  {report.win_rate:10.4f}  {theoretical_win_rate(eta):10.4f}{marker}")

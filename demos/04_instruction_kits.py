@@ -9,7 +9,7 @@ model never loses more than one detector per run, while honest
 independent detector failures routinely lose two or three.
 """
 
-from ghzlab.game import EfficiencyModel, apply_detection, quantum_strategy, run_experiment
+from ghzlab.game import quantum_strategy, run_experiment
 from ghzlab.lhv import enumerate_kits, lhv_statistics
 
 TRIALS = 50_000
@@ -32,7 +32,7 @@ def main():
           f"null detections: {report.null_detections}")
 
     records = []
-    lossy = apply_detection(quantum_strategy(), EfficiencyModel(0.7))
+    lossy = quantum_strategy(0.7)
     run_experiment(lossy, TRIALS, master_seed=0, record_sink=records.append)
     low = sum(sum(rec.detections) <= 1 for rec in records)
     print(f"quantum team with eta = 0.7 over {TRIALS} runs:")

@@ -26,11 +26,9 @@ from .qsim import (
 )
 from .game import (
     DeterministicTable,
-    EfficiencyModel,
     ExperimentReport,
     QuestionPattern,
     Strategy,
-    apply_detection,
     draw_pattern,
     play_deterministic,
     quantum_strategy,
@@ -68,7 +66,6 @@ __all__ = [
     "Axis",
     "BellIndex",
     "DeterministicTable",
-    "EfficiencyModel",
     "ExperimentReport",
     "ParityConstraint",
     "ParitySystem",
@@ -80,7 +77,6 @@ __all__ = [
     "Strategy",
     "Unsat",
     "abl_distribution",
-    "apply_detection",
     "bell_measure",
     "build_classical_game_system",
     "build_setup",

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import game, lhv, parity, prepost, teleport
-from .game import PATTERNS, EfficiencyModel
+from .game import PATTERNS
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 0
@@ -50,12 +50,12 @@ def _parse_sign(text: str) -> int:
 
 @contextlib.contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
-    """The handle a command writes into: stdout, or a file that replaces ``out_path`` whole.
+    """Where ``main`` writes a command's document: stdout, or a file that replaces ``out_path`` whole.
 
     A file is written beside the target and moved over it only when the
-    command succeeds, so no reader sees half a file.  Commands build a whole
-    document before they open the output, which keeps the file's buffers out
-    of their peak memory; jsonl and csv rows are written as they are made.
+    command succeeds, so no reader sees half a file.  Commands build their
+    text and rows before the output opens, which keeps the file's buffers
+    out of their peak memory; jsonl records are written as they are made.
     """
     if out_path is None:
         yield sys.stdout
@@ -84,11 +84,25 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_records(play: Callable, out_path: str | None) -> int:
-    """Run ``play``, writing each trial record as one JSON line when it is produced."""
-    with _output(out_path) as fh:
-        play(record_sink=lambda rec: fh.write(json.dumps(rec.to_json_dict()) + "\n"))
-    return 0
+# What a command returns for ``main`` to write: the whole text, or a writer
+# that takes the output handle; ``play`` talks to the terminal and returns None.
+Document = str | Callable[[TextIO], None] | None
+
+
+def _jsonl(play: Callable) -> Callable[[TextIO], None]:
+    """A writer that runs ``play``, writing each trial record as one JSON line when it is produced."""
+    return lambda fh: play(record_sink=lambda rec: fh.write(json.dumps(rec.to_json_dict()) + "\n"))
+
+
+def _csv(header: Sequence[str], rows: list[Sequence]) -> Callable[[TextIO], None]:
+    """A writer of ``header`` and ``rows`` as csv lines."""
+
+    def write(fh: TextIO) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +112,7 @@ def _write_records(play: Callable, out_path: str | None) -> int:
 def _make_strategy(args) -> game.Strategy:
     name = args.strategy
     if name == "quantum":
-        return game.quantum_strategy()
+        return game.quantum_strategy(args.eta)
     if name == "classical-best":
         best = game.scan_deterministic().best_tables[0]
         return game.TableStrategy(best, name="classical-best")
@@ -107,17 +121,7 @@ def _make_strategy(args) -> game.Strategy:
             raise CliError("classical-table needs 6 signs: X_A Y_A X_B Y_B X_C Y_C")
         signs = [_parse_sign(t) for t in args.table]
         return game.TableStrategy(game.DeterministicTable(*signs))
-    if name == "random":
-        return game.RandomStrategy()
-    raise CliError(f"unknown strategy {name!r}")
-
-
-def _theory_for(args, strategy: game.Strategy) -> float:
-    if args.strategy == "quantum":
-        return game.theoretical_win_rate(args.eta)
-    if args.strategy == "random":
-        return 0.5
-    return strategy.table.expected_win_rate()  # type: ignore[attr-defined]
+    return game.RandomStrategy()
 
 
 def _report_lines(report) -> list[str]:
@@ -164,53 +168,45 @@ def _lhv_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_game(args) -> int:
+def cmd_game(args) -> Document:
     if args.table and args.strategy != "classical-table":
         raise CliError("--table applies only to --strategy classical-table")
+    if args.eta != 1.0 and args.strategy != "quantum":
+        raise CliError(f"--eta applies only to --strategy quantum, not {args.strategy}")
     if args.strategy == "lhv":
-        if args.eta != 1.0:
-            raise CliError("the lhv strategy has its own detection model; --eta does not apply")
         play = functools.partial(lhv.lhv_statistics, args.trials, args.seed)
         as_text = _lhv_text
     else:
         strategy = _make_strategy(args)
-        theory = _theory_for(args, strategy)
-        if args.eta != 1.0:
-            strategy = game.apply_detection(strategy, EfficiencyModel(args.eta))
         play = functools.partial(game.run_experiment, strategy, args.trials, args.seed)
-        as_text = functools.partial(_report_text, theory=theory)
+        as_text = functools.partial(_report_text, theory=strategy.expected_win_rate())
     if args.format == "jsonl":
-        return _write_records(play, args.out)
+        return _jsonl(play)
     report = play()
-    text = as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict())
-    with _output(args.out) as fh:
-        fh.write(text)
-    return 0
+    return as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Document:
     grid = args.grid
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise CliError("grid values must lie in [0, 1]")
     rows = []
     for k, eta in enumerate(grid):
-        strategy = game.apply_detection(game.quantum_strategy(), EfficiencyModel(eta))
+        strategy = game.quantum_strategy(eta)
         point_seed = int(np.random.SeedSequence(entropy=(args.seed, k)).generate_state(1)[0])
         report = game.run_experiment(strategy, args.trials, point_seed)
-        rows.append((eta, report.win_rate, game.theoretical_win_rate(eta)))
+        rows.append((eta, report.win_rate, strategy.expected_win_rate()))
     if args.format == "csv":
-        with _output(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta", "empirical", "theoretical"])
-            for eta, emp, theo in rows:
-                writer.writerow([f"{eta:g}", f"{emp:.6f}", f"{theo:.6f}"])
-        return 0
+        return _csv(
+            ["eta", "empirical", "theoretical"],
+            [[f"{eta:g}", f"{emp:.6f}", f"{theo:.6f}"] for eta, emp, theo in rows],
+        )
     if args.format == "json":
-        text = _json_dumps(
+        return _json_dumps(
             {
                 "trials_per_point": args.trials,
                 "master_seed": args.seed,
@@ -220,25 +216,19 @@ def cmd_sweep(args) -> int:
                 ],
             }
         )
-    else:
-        lines = [f"detection sweep: {args.trials} trials per point, master_seed {args.seed}"]
-        lines.append(f"{'eta':>8}  {'empirical':>10}  {'theoretical':>11}  {'|diff|':>8}  {'4-sigma':>8}")
-        for eta, emp, theo in rows:
-            bound = 4.0 * _binomial_sigma(theo, args.trials)
-            lines.append(
-                f"{eta:8.4f}  {emp:10.6f}  {theo:11.6f}  {abs(emp - theo):8.6f}  {bound:8.6f}"
-            )
-        text = "\n".join(lines) + "\n"
-    with _output(args.out) as fh:
-        fh.write(text)
-    return 0
+    lines = [f"detection sweep: {args.trials} trials per point, master_seed {args.seed}"]
+    lines.append(f"{'eta':>8}  {'empirical':>10}  {'theoretical':>11}  {'|diff|':>8}  {'4-sigma':>8}")
+    for eta, emp, theo in rows:
+        bound = 4.0 * _binomial_sigma(theo, args.trials)
+        lines.append(f"{eta:8.4f}  {emp:10.6f}  {theo:11.6f}  {abs(emp - theo):8.6f}  {bound:8.6f}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # prove
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> Document:
     if args.which == "classical":
         if args.signs:
             raise CliError("the classical system takes no signs")
@@ -257,79 +247,61 @@ def cmd_prove(args) -> int:
         raise RuntimeError("solver disagreement between GF(2) and enumeration")
     drops = parity.drop_one_analysis(system)
     if args.format == "json":
-        text = _json_dumps(
+        return _json_dumps(
             {
                 "system": dataclasses.asdict(system),
                 "result": parity.result_to_json_dict(result),
                 "drop_one": {str(k): parity.result_to_json_dict(v) for k, v in drops.items()},
             }
         )
-    else:
-        text = parity.format_proof(system, result, drops)
-    with _output(args.out) as fh:
-        fh.write(text)
-    return 0
+    return parity.format_proof(system, result, drops)
 
 
 # ---------------------------------------------------------------------------
 # teleport
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> Document:
     rule = teleport.derive_correction_rule()
     play = functools.partial(teleport.run_trials, args.trials, args.seed)
     if args.format == "jsonl":
-        return _write_records(play, args.out)
+        return _jsonl(play)
     summary = play()
     if args.format == "csv":
-        with _output(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pattern", "trials", "corrected_success_rate", "raw_success_rate"])
-            for name, rates in summary.per_pattern.items():
-                writer.writerow(
-                    [
-                        name,
-                        rates.trials,
-                        f"{rates.corrected_success_rate:.6f}",
-                        f"{rates.raw_success_rate:.6f}",
-                    ]
-                )
-        return 0
+        rows = [[name, r.trials, f"{r.corrected_success_rate:.6f}", f"{r.raw_success_rate:.6f}"]
+                for name, r in summary.per_pattern.items()]
+        return _csv(["pattern", "trials", "corrected_success_rate", "raw_success_rate"], rows)
     if args.format == "json":
-        text = _json_dumps(summary.to_json_dict())
-    else:
-        lines = [
-            f"teleported game: {summary.trials} trials, master_seed {args.seed}",
-            "correction rule (derived from the single-particle identity):",
-        ]
-        lines.extend("  " + line for line in rule.describe().splitlines())
-        lines.append("per-pattern success rates (corrected / raw):")
-        for name, rates in summary.per_pattern.items():
-            lines.append(
-                f"  {name}: {rates.corrected_success_rate:.6f} / {rates.raw_success_rate:.6f}"
-                f"  ({rates.trials} trials)"
-            )
-        lines.append(f"overall corrected success: {summary.corrected_success_rate:.6f}")
-        lines.append(f"overall raw success: {summary.raw_success_rate:.6f}")
-        expected = summary.trials / 64
-        sigma = math.sqrt(summary.trials * (1 / 64) * (63 / 64))
-        worst = max(abs(c - expected) for c in summary.bell_histogram.values())
+        return _json_dumps(summary.to_json_dict())
+    lines = [
+        f"teleported game: {summary.trials} trials, master_seed {args.seed}",
+        "correction rule (derived from the single-particle identity):",
+    ]
+    lines.extend("  " + line for line in rule.describe().splitlines())
+    lines.append("per-pattern success rates (corrected / raw):")
+    for name, rates in summary.per_pattern.items():
         lines.append(
-            f"Bell-outcome histogram: {len(summary.bell_histogram)} of 64 cells hit, "
-            f"worst |count - {expected:.1f}| = {worst:.1f} vs 4-sigma {4 * sigma:.1f} "
-            f"over n={summary.trials}"
+            f"  {name}: {rates.corrected_success_rate:.6f} / {rates.raw_success_rate:.6f}"
+            f"  ({rates.trials} trials)"
         )
-        text = "\n".join(lines) + "\n"
-    with _output(args.out) as fh:
-        fh.write(text)
-    return 0
+    lines.append(f"overall corrected success: {summary.corrected_success_rate:.6f}")
+    lines.append(f"overall raw success: {summary.raw_success_rate:.6f}")
+    expected = summary.trials / 64
+    sigma = math.sqrt(summary.trials * (1 / 64) * (63 / 64))
+    worst = max(abs(c - expected) for c in summary.bell_histogram.values())
+    lines.append(
+        f"Bell-outcome histogram: {len(summary.bell_histogram)} of 64 cells hit, "
+        f"worst |count - {expected:.1f}| = {worst:.1f} vs 4-sigma {4 * sigma:.1f} "
+        f"over n={summary.trials}"
+    )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # elements
 
 
-def cmd_elements(args) -> int:
+def cmd_elements(args) -> Document:
     signs = [_parse_sign(s) for s in args.signs]
     if signs[0] * signs[1] * signs[2] != -1:
         raise CliError(
@@ -340,7 +312,7 @@ def cmd_elements(args) -> int:
     conditionals = prepost.conditionals_check(ens.pre)
     report = prepost.product_rule_report(ens)
     if args.format == "json":
-        text = _json_dumps(
+        return _json_dumps(
             {
                 "post_outcomes": signs,
                 "conditionals": [prepost.labeled_json(e) for e in conditionals.entries],
@@ -348,11 +320,7 @@ def cmd_elements(args) -> int:
                 "product_rule": report.to_json_dict(),
             }
         )
-    else:
-        text = prepost.format_elements_proof(ens, conditionals, report)
-    with _output(args.out) as fh:
-        fh.write(text)
-    return 0
+    return prepost.format_elements_proof(ens, conditionals, report)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +368,7 @@ class _TerminalSeat(game.QuantumStrategy):
     """
 
     def __init__(self, input_fn: Callable[[str], str], print_fn: Callable[[str], None]):
+        super().__init__()
         self.input_fn, self.print_fn = input_fn, print_fn
         self.stats = PlayStats()
         self.mode = "measured"
@@ -452,11 +421,11 @@ def play_session(
     return team.stats
 
 
-def cmd_play(args) -> int:
+def cmd_play(args) -> Document:
     if not sys.stdin.isatty():
         raise CliError("play mode needs an interactive terminal; stdin is not a tty")
     play_session(args.seed, input_fn=input, print_fn=print)
-    return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +511,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate_common(args)
-        return args.func(args)
+        document = args.func(args)
+        if document is not None:
+            with _output(args.out) as fh:
+                if isinstance(document, str):
+                    fh.write(document)
+                else:
+                    document(fh)
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

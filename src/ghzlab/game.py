@@ -14,7 +14,6 @@ strategy, decides whether a seat's detector fires.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -155,15 +154,13 @@ class Strategy:
     ``(reply, shared)``: the reply is +1, -1 or ``NO_DETECTION``, and
     ``shared`` is the resource as the next seat finds it.
 
-    ``uses_detectors`` marks strategies whose answers come out of a
-    measurement device; only those are affected by detection efficiency.
     ``eta`` is each seat's detection efficiency: below 1 the harness fails
     a seat's detector with probability ``1 - eta`` and then does not ask
-    that seat's answer rule.
+    that seat's answer rule.  Only a team that measures has detectors to
+    fail, so the built-in teams other than ``QuantumStrategy`` keep 1.
     """
 
     name: str = "abstract"
-    uses_detectors: bool = False
     eta: float = 1.0
 
     def setup(self, rnd: RandomSource):
@@ -177,11 +174,20 @@ class QuantumStrategy(Strategy):
     """Players share a fresh GHZ triple each round and measure their site.
 
     Asked X a player measures the x spin component of her own particle,
-    asked Y the y component, and answers with the outcome.
+    asked Y the y component, and answers with the outcome.  Each detector
+    fires with probability ``eta``; below 1 the team is named
+    ``quantum[eta=...]``.
     """
 
-    name = "quantum"
-    uses_detectors = True
+    def __init__(self, eta: float = 1.0):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        self.eta = eta
+        self.name = "quantum" if eta == 1.0 else f"quantum[eta={eta:g}]"
+
+    def expected_win_rate(self) -> float:
+        """Win probability under uniformly drawn patterns: ``theoretical_win_rate(eta)``."""
+        return theoretical_win_rate(self.eta)
 
     def setup(self, rnd: RandomSource) -> StateVector:
         return make_ghz()
@@ -190,8 +196,8 @@ class QuantumStrategy(Strategy):
         return measure_pauli(shared, site, question, rnd)
 
 
-def quantum_strategy() -> Strategy:
-    return QuantumStrategy()
+def quantum_strategy(eta: float = 1.0) -> Strategy:
+    return QuantumStrategy(eta)
 
 
 class TableStrategy(Strategy):
@@ -207,6 +213,9 @@ class TableStrategy(Strategy):
         self.table = table
         self.name = name or f"table{tuple(table)}"
 
+    def expected_win_rate(self) -> float:
+        return self.table.expected_win_rate()
+
     def setup(self, rnd: RandomSource) -> DeterministicTable:
         return self.table
 
@@ -219,34 +228,11 @@ class RandomStrategy(Strategy):
 
     name = "random"
 
+    def expected_win_rate(self) -> float:
+        return 0.5
+
     def answer(self, shared, site: int, question: Axis, rnd: RandomSource):
         return (1 if rnd.random() < 0.5 else -1), shared
-
-
-@dataclass(frozen=True)
-class EfficiencyModel:
-    """Independent per-player detection with probability ``eta``."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-
-def apply_detection(strategy: Strategy, model: EfficiencyModel) -> Strategy:
-    """A copy of a measuring strategy whose detectors fire with probability ``model.eta``.
-
-    Strategies that never measure (pre-agreed tables, coin flipping) are
-    returned unchanged; there is no detector to fail.  The argument is
-    left as it was.
-    """
-    if not strategy.uses_detectors:
-        return strategy
-    lossy = copy.copy(strategy)
-    lossy.eta = model.eta
-    lossy.name = f"{strategy.name}[eta={model.eta:g}]"
-    return lossy
 
 
 def theoretical_win_rate(eta: float) -> float:

@@ -18,9 +18,7 @@ import oracle
 from ghzlab.cli import main
 from ghzlab.game import (
     PATTERNS,
-    EfficiencyModel,
     TrialStreams,
-    apply_detection,
     quantum_strategy,
     run_experiment,
     scan_deterministic,
@@ -100,7 +98,7 @@ def test_criterion_3_efficiency_threshold():
         assert abs(theoretical_win_rate(threshold) - 0.75) < 1e-12
         trials = 100_000
         for k, eta in enumerate((0.5, 0.7937, 0.9, 1.0)):
-            strategy = apply_detection(quantum_strategy(), EfficiencyModel(eta))
+            strategy = quantum_strategy(eta)
             report = run_experiment(strategy, trials, master_seed=300 + k)
             want = theoretical_win_rate(eta)
             bound = oracle.binomial_4sigma(want, trials)

@@ -277,6 +277,11 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         capsys, "game", "--strategy", "quantum", "--table", *["1"] * 6, "--trials", "5"
     )
     assert code == 1 and "--table" in err
+    for strategy in ("random", "classical-best", "classical-table"):
+        table = ("--table", *["1"] * 6) if strategy == "classical-table" else ()
+        argv = ("game", "--strategy", strategy, *table, "--eta", "0.5", "--trials", "5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and strategy in err and "--eta" in err
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
@@ -332,6 +337,28 @@ KNOWN_OUTPUTS = [
         ("game", "--strategy", "classical-best", "--trials", "300", "--seed", "7", "--format", "json"),
         "c3e4c7664b5aa0bf52b5486e038a9e3225c1e00bf1d0e3eb58428b67ef26ccb1",
         id="game-classical-best-json",
+    ),
+    pytest.param(
+        ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
+         "--format", "json"),
+        "730241a9126990aad0e1d6f34de94b47573b1fcf20399b2b07f2815101c0c3e6",
+        id="game-quantum-eta-json",
+    ),
+    # text outputs that print a theory value
+    pytest.param(
+        ("game", "--strategy", "quantum", "--eta", "0.7937", "--trials", "300", "--seed", "7"),
+        "ecb128dec29fefb711707910c8e1abc236cddc2db886ebf72de69efb4faa8d54",
+        id="game-quantum-eta-text",
+    ),
+    pytest.param(
+        ("game", "--strategy", "random", "--trials", "300", "--seed", "7"),
+        "527f82cd68df3932ecc82bfdd6fa2ef778a3e4771f0d95cd8a6d653655a4d71b",
+        id="game-random-text",
+    ),
+    pytest.param(
+        ("sweep", "--trials", "200", "--seed", "7", "--format", "text"),
+        "8cca033aaf0c31a045f2a406dcf9ccc306f6f21dae6b1975ce5a6107f61327fc",
+        id="sweep-text",
     ),
     pytest.param(
         ("sweep", "--trials", "200", "--seed", "7", "--format", "csv"),

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from ghzlab.game import (
     PATTERNS,
     DeterministicTable,
-    EfficiencyModel,
     NO_DETECTION,
     QuestionPattern,
     RandomStrategy,
     Strategy,
     TableStrategy,
     TrialStreams,
-    apply_detection,
     draw_pattern,
     play_deterministic,
     quantum_strategy,
@@ -199,15 +197,14 @@ def test_theoretical_win_rate_strictly_increasing():
 
 def test_eta_one_wrapper_is_identity():
     base_records = []
-    wrapped_records = []
+    explicit_records = []
     run_experiment(quantum_strategy(), 300, 17, record_sink=base_records.append)
-    wrapped = apply_detection(quantum_strategy(), EfficiencyModel(1.0))
-    run_experiment(wrapped, 300, 17, record_sink=wrapped_records.append)
-    assert base_records == wrapped_records
+    run_experiment(quantum_strategy(1.0), 300, 17, record_sink=explicit_records.append)
+    assert base_records == explicit_records
 
 
 def test_eta_zero_gives_coin_flip_rate():
-    strategy = apply_detection(quantum_strategy(), EfficiencyModel(0.0))
+    strategy = quantum_strategy(0.0)
     n = 20_000
     report = run_experiment(strategy, n, 3)
     assert report.triple_detection_rate == 0.0
@@ -215,7 +212,7 @@ def test_eta_zero_gives_coin_flip_rate():
 
 
 def test_eta_09_matches_formula():
-    strategy = apply_detection(quantum_strategy(), EfficiencyModel(0.9))
+    strategy = quantum_strategy(0.9)
     n = 30_000
     report = run_experiment(strategy, n, 4)
     assert abs(report.win_rate - 0.8645) < oracle.binomial_4sigma(0.8645, n)
@@ -223,7 +220,7 @@ def test_eta_09_matches_formula():
 
 
 def test_detection_failures_recorded():
-    strategy = apply_detection(quantum_strategy(), EfficiencyModel(0.5))
+    strategy = quantum_strategy(0.5)
     records = []
     run_experiment(strategy, 500, 5, record_sink=records.append)
     flags = [d for rec in records for d in rec.detections]
@@ -231,16 +228,24 @@ def test_detection_failures_recorded():
     assert all(a in (1, -1) for rec in records for a in rec.answers)
 
 
-def test_deterministic_strategies_ignore_detection_model():
-    table = TableStrategy(ALL_PLUS)
-    assert apply_detection(table, EfficiencyModel(0.2)) is table
-    coin = RandomStrategy()
-    assert apply_detection(coin, EfficiencyModel(0.2)) is coin
+def test_table_and_coin_teams_have_no_detector_loss():
+    assert TableStrategy(ALL_PLUS).eta == 1.0
+    assert RandomStrategy().eta == 1.0
 
 
-def test_efficiency_model_validation():
-    with pytest.raises(ValueError):
-        EfficiencyModel(1.2)
+def test_quantum_eta_validation():
+    for eta in (1.2, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            quantum_strategy(eta)
+
+
+def test_expected_win_rate_of_each_team():
+    assert quantum_strategy().expected_win_rate() == 1.0
+    assert quantum_strategy(0.9).expected_win_rate() == theoretical_win_rate(0.9)
+    best = scan_deterministic().best_tables[0]
+    assert TableStrategy(best).expected_win_rate() == 0.75
+    assert TableStrategy(ALL_PLUS).expected_win_rate() == ALL_PLUS.expected_win_rate()
+    assert RandomStrategy().expected_win_rate() == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,6 @@ class SpyStrategy(Strategy):
     """Answers +1 and records every call; the shared resource counts the seats asked."""
 
     name = "spy"
-    uses_detectors = True
 
     def __init__(self):
         self.calls = []
@@ -295,7 +299,8 @@ def test_each_seat_sees_only_its_question_and_stream(monkeypatch):
 
 
 def test_undetected_seat_is_never_asked(monkeypatch):
-    lossy = apply_detection(SpyStrategy(), EfficiencyModel(0.5))
+    lossy = SpyStrategy()
+    lossy.eta = 0.5
     records, streams = spy_run(lossy, 200, 4, monkeypatch)
     calls = iter(lossy.calls)
     for rec, gens in zip(records, streams):
@@ -309,10 +314,9 @@ def test_undetected_seat_is_never_asked(monkeypatch):
     assert any(flags) and not all(flags)
 
 
-def test_apply_detection_leaves_its_argument_alone():
+def test_quantum_team_names_its_efficiency():
     bare = quantum_strategy()
-    lossy = apply_detection(bare, EfficiencyModel(0.5))
-    assert lossy is not bare
+    lossy = quantum_strategy(0.5)
     assert (bare.eta, bare.name) == (1.0, "quantum")
     assert (lossy.eta, lossy.name) == (0.5, "quantum[eta=0.5]")
 
@@ -465,7 +469,7 @@ def test_role_reads_its_generator_state_after_seeking():
 @settings(deadline=None, max_examples=12)
 @given(trials=st.integers(1, 600), seed=st.integers(0, 2**40))
 def test_quantum_experiment_matches_reference_loop(eta, trials, seed):
-    strategy = apply_detection(quantum_strategy(), EfficiencyModel(eta))
+    strategy = quantum_strategy(eta)
     report = run_experiment(strategy, trials, seed)
     assert report == oracle.ref_quantum_experiment(strategy.name, eta, trials, seed)
 
@@ -486,7 +490,7 @@ def shared_nodes(state) -> int:
 
 
 def test_shared_ghz_tree_stops_growing():
-    lossy = apply_detection(quantum_strategy(), EfficiencyModel(0.5))
+    lossy = quantum_strategy(0.5)
     run_experiment(lossy, 5000, 21)
     after_5k = shared_nodes(make_ghz())
     run_experiment(lossy, 20_000, 22)

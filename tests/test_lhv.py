@@ -6,9 +6,7 @@ from ghzlab.game import (
     NO_DETECTION,
     PATTERNS,
     DeterministicTable,
-    EfficiencyModel,
     QuestionPattern,
-    apply_detection,
     quantum_strategy,
     run_experiment,
 )
@@ -125,7 +123,7 @@ def test_lhv_distinguishable_from_lossy_quantum_team():
     # the kit model never loses more than one player per run; independent
     # detector failures do, so sub-double detections tell the models apart
     records = []
-    strategy = apply_detection(quantum_strategy(), EfficiencyModel(0.7))
+    strategy = quantum_strategy(0.7)
     run_experiment(strategy, 3000, 9, record_sink=records.append)
     low_detection_runs = sum(sum(rec.detections) <= 1 for rec in records)
     assert low_detection_runs > 0

@@ -60,12 +60,13 @@ TRACED_COMMANDS = (
      200, 0),
     (("game", "--strategy", "random", "--trials", "200", "--seed", "5", "--format", "json"), 800, 0),
     (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 251, 240),
+    (("sweep", "--grid", "0.5", "1", "--trials", "100", "--seed", "5", "--format", "json"), 1003, 454),
 )
 
 
 @pytest.mark.parametrize("argv, draws, collapses", TRACED_COMMANDS,
                          ids=["game-quantum-eta-jsonl", "game-lhv-json", "game-classical-best-json",
-                              "game-random-json", "teleport-json"])
+                              "game-random-json", "teleport-json", "sweep-json"])
 def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     from ghzlab.cli import main
 
