@@ -228,6 +228,16 @@ def cmd_sweep(args) -> Document:
 # prove
 
 
+def _check_answer(system: parity.ParitySystem, result: parity.Sat | parity.Unsat) -> None:
+    """Raise unless ``result``'s assignment satisfies ``system`` or its certificate refutes it."""
+    if result.satisfiable:
+        ok = all(c.satisfied_by(result.assignment) for c in system.constraints)
+    else:
+        ok = parity.verify_certificate(system, result.certificate)
+    if not ok:
+        raise RuntimeError(f"the solver's answer does not check: {result}")
+
+
 def cmd_prove(args) -> Document:
     if args.which == "classical":
         if args.signs:
@@ -246,6 +256,9 @@ def cmd_prove(args) -> Document:
     if result.satisfiable != enum_result.satisfiable:  # pragma: no cover
         raise RuntimeError("solver disagreement between GF(2) and enumeration")
     drops = parity.drop_one_analysis(system)
+    _check_answer(system, result)
+    for k, dropped in drops.items():
+        _check_answer(system.drop(k), dropped)
     if args.format == "json":
         return _json_dumps(
             {

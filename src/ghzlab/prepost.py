@@ -38,8 +38,8 @@ from .qsim import (
     measure_pauli,
     measure_product,
     pauli_product,
-    pauli_project,
     product_project,
+    results_weight,
 )
 
 CERTAINTY_THRESHOLD = 1.0 - 1e-9
@@ -67,9 +67,6 @@ class PrePostEnsemble:
     post: tuple[tuple[int, Axis, int], ...]
 
     def __post_init__(self):
-        sites = [s for s, _, _ in self.post]
-        if len(set(sites)) != len(sites):
-            raise ValueError("post sites must be pairwise distinct")
         for site, axis, outcome in self.post:
             if not 0 <= site < self.pre.num_sites:
                 raise ValueError(f"post site {site} out of range")
@@ -82,24 +79,7 @@ class PrePostEnsemble:
 
     def post_probability(self) -> float:
         """Born probability of the joint post outcome from the preparation."""
-        return _post_weight(1.0, self.pre, self.post)
-
-
-def _post_weight(
-    weight: float, state: StateVector | None, post: Sequence[tuple[int, Axis, int]]
-) -> float:
-    """``weight`` times the Born probability of the ``post`` results from ``state``.
-
-    A ``state`` of None is a branch already known to be empty.  Each factor
-    is multiplied onto ``weight`` in turn, so the rounding is that of a
-    running product.
-    """
-    for site, axis, outcome in post:
-        if state is None:
-            return 0.0
-        p, state = pauli_project(state, site, axis, outcome)
-        weight *= p
-    return weight
+        return results_weight(self.pre, self.post)
 
 
 def ghz_x_ensemble(outcomes: Sequence[int]) -> PrePostEnsemble:
@@ -131,7 +111,7 @@ def abl_distribution(ens: PrePostEnsemble, obs: ProductObservable) -> AblDistrib
     weights = {}
     for outcome in (1, -1):
         p, state = product_project(ens.pre, obs, outcome)
-        weights[outcome] = _post_weight(p, state, ens.post)
+        weights[outcome] = 0.0 if state is None else p * results_weight(state, ens.post)
     total = weights[1] + weights[-1]
     if total <= MIN_BRANCH_PROB:
         raise PostselectionError(
@@ -177,19 +157,11 @@ class ConditionalEntry:
     deterministic: bool
     measured_value: int
 
-    @property
-    def matches_target(self) -> bool:
-        return self.deterministic and self.measured_value == self.target
-
 
 @dataclass(frozen=True)
 class ConditionalsReport:
     entries: tuple[ConditionalEntry, ...]
     all_pairs_commute: bool
-
-    @property
-    def all_match(self) -> bool:
-        return all(e.matches_target for e in self.entries)
 
 
 def conditionals_check(pre: StateVector) -> ConditionalsReport:

@@ -34,8 +34,10 @@ MAX_SITES = 12
 
 # Tolerance for exact algebraic identities (norms, traces, eigenrelations).
 ATOL_EXACT = 1e-12
-# Branches below this probability are treated as numerically impossible.
-MIN_BRANCH_PROB = 1e-15
+# Branches below this probability are treated as numerically impossible.  The
+# bound covers the rounding of a complementary weight ``1 - p_plus``, which
+# reads a few 1e-15 where the true branch is empty.
+MIN_BRANCH_PROB = ATOL_EXACT
 
 RandomSource = np.random.Generator
 
@@ -90,14 +92,6 @@ _EIGVEC = {
     (Axis.Z, 1): (1.0 + 0j, 0j),
     (Axis.Z, -1): (0j, 1.0 + 0j),
 }
-
-# Unitary mapping the +1/-1 eigenbasis of each axis onto |0>, |1>: its rows
-# are the conjugated eigenvectors.
-_TO_Z_BASIS = {
-    axis: np.conj(np.array([_EIGVEC[(axis, 1)], _EIGVEC[(axis, -1)]], dtype=complex))
-    for axis in Axis
-}
-
 
 class StateVector:
     """Normalized pure state of ``num_sites`` two-level systems."""
@@ -526,32 +520,40 @@ def bell_measure(
     return which, _bell_collapse(state.num_sites, groups, which, overlaps[k], weights[k])
 
 
+def results_weight(state: StateVector, results: Sequence[tuple[int, Axis, int]]) -> float:
+    """Born probability of single-site ``(site, axis, outcome)`` results on distinct sites.
+
+    The results are projected in turn with :func:`pauli_project` and their
+    weights multiplied as a running product; a dead branch weighs 0.0.
+    """
+    sites = [site for site, _, _ in results]
+    if len(set(sites)) != len(sites):
+        raise ValueError("sites must be pairwise distinct")
+    weight = 1.0
+    for site, axis, outcome in results:
+        p, state = pauli_project(state, site, axis, outcome)
+        if state is None:
+            return 0.0
+        weight *= p
+    return weight
+
+
 def joint_distribution(
     state: StateVector, axes: Sequence[tuple[int, Axis]]
 ) -> dict[tuple[int, ...], float]:
     """Exact Born distribution of single-site measurements on distinct sites.
 
     Returns a map from outcome tuples (ordered as ``axes``) to probability,
-    covering all 2**k tuples.  The result does not depend on the order in
-    which the commuting single-site measurements would be performed.
+    covering all 2**k tuples, the first entry of a tuple varying fastest.
+    The result does not depend on the order in which the commuting
+    single-site measurements would be performed.
     """
-    n = state.num_sites
-    sites = [s for s, _ in axes]
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be pairwise distinct")
-    work = state.amps
-    for site, axis in axes:
-        work = _apply_one_site(work, n, site, _TO_Z_BASIS[axis])
-    probs = np.abs(work) ** 2
-    idx = np.arange(1 << n)
-    key = np.zeros(1 << n, dtype=np.int64)
-    for j, site in enumerate(sites):
-        key |= ((idx >> site) & 1) << j
-    marginal = np.bincount(key, weights=probs, minlength=1 << len(sites))
     dist: dict[tuple[int, ...], float] = {}
-    for m in range(1 << len(sites)):
-        outcome = tuple(1 if ((m >> j) & 1) == 0 else -1 for j in range(len(sites)))
-        dist[outcome] = float(marginal[m])
+    for m in range(1 << len(axes)):
+        outcome = tuple(1 if ((m >> j) & 1) == 0 else -1 for j in range(len(axes)))
+        dist[outcome] = results_weight(
+            state, [(site, axis, o) for (site, axis), o in zip(axes, outcome)]
+        )
     return dist
 
 

@@ -407,6 +407,17 @@ def plain_ghz() -> StateVector:
     return StateVector(3, make_ghz().amps)
 
 
+class TopDraw:
+    """A random source whose every uniform is 1 - 2**-53, the largest below 1.
+
+    Such a draw picks the last branch that carries any weight, so it is the
+    one that would take a branch whose weight is only rounding.
+    """
+
+    def random(self) -> float:
+        return 1.0 - 2.0**-53
+
+
 def ref_quantum_experiment(name: str, eta: float, trials: int, master_seed: int) -> ExperimentReport:
     """The report of the measuring team at efficiency ``eta``, played trial by trial."""
     streams = RefTrialStreams(master_seed, 5)

@@ -189,6 +189,34 @@ def test_prove_stapp_rejects_bad_product(capsys):
     assert "multiply to -1" in err
 
 
+def test_prove_checks_the_main_certificate(capsys, monkeypatch):
+    from ghzlab import parity
+
+    # constraint 0 alone does not cancel its variables
+    monkeypatch.setattr(parity, "solve_gf2", lambda system: parity.Unsat((0,)))
+    code, out, err = run_cli(capsys, "prove", "classical")
+    assert code == 2
+    assert out == ""
+    assert "does not check" in err
+
+
+def test_prove_checks_each_drop_one_assignment(capsys, monkeypatch):
+    from ghzlab import parity
+
+    solve = parity.solve_gf2
+    everything_up = parity.Sat({v: 1 for v in parity.build_classical_game_system().variables})
+
+    def solve_badly(system):
+        # all +1 breaks X_A*X_B*X_C = -1, which only the system without [0] lacks
+        return solve(system) if len(system.constraints) == 4 else everything_up
+
+    monkeypatch.setattr(parity, "solve_gf2", solve_badly)
+    code, out, err = run_cli(capsys, "prove", "classical", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "does not check" in err
+
+
 # ---------------------------------------------------------------------------
 # teleport
 

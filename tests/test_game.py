@@ -140,6 +140,22 @@ def test_quantum_strategy_always_wins_each_pattern():
             assert wins(pattern, answers)
 
 
+@pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.target == 1], ids=lambda p: p.value)
+@pytest.mark.parametrize("ghz", [make_ghz, oracle.plain_ghz], ids=["shared", "plain"])
+def test_quantum_team_never_takes_a_rounding_branch(pattern, ghz):
+    # A and B read -1, so C's other outcome keeps a weight 1 - p_plus of about
+    # 3e-15 that is only rounding: the top draw must not take it
+    strategy = quantum_strategy()
+    shared = ghz()
+    answers = []
+    for site in range(3):
+        reply, shared = strategy.answer(shared, site, pattern.axes[site], oracle.TopDraw())
+        assert np.vdot(shared.amps, shared.amps).real == pytest.approx(1.0, abs=1e-12)
+        answers.append(reply)
+    assert answers[:2] == [-1, -1]
+    assert wins(pattern, answers)
+
+
 def test_quantum_xxx_product_is_minus_one():
     strategy = quantum_strategy()
     streams = TrialStreams(7, 4)

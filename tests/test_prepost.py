@@ -135,7 +135,7 @@ def test_six_factor_element_is_certain_plus_one():
 def test_conditionals_check_on_ghz():
     report = conditionals_check(make_ghz())
     assert len(report.entries) == 4
-    assert report.all_match
+    assert all(e.deterministic and e.measured_value == e.target for e in report.entries)
     assert report.all_pairs_commute
     values = {e.observable.label(): e.measured_value for e in report.entries}
     assert values["x(0)*x(1)*x(2)"] == -1
@@ -147,7 +147,7 @@ def test_conditionals_check_on_non_eigenstate():
 
     flat = StateVector(3, np.full(8, np.sqrt(1 / 8), dtype=complex))
     report = conditionals_check(flat)
-    assert not report.all_match
+    assert not all(e.deterministic and e.measured_value == e.target for e in report.entries)
 
 
 # ---------------------------------------------------------------------------

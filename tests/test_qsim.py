@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ghzlab.qsim import (
     _EIGVEC,
-    _TO_Z_BASIS,
     Axis,
     BellIndex,
     ProductObservable,
@@ -90,12 +89,6 @@ def test_eigvec_is_unit_eigenvector(axis, outcome):
     v = np.array(_EIGVEC[(axis, outcome)], dtype=complex)
     assert abs(np.vdot(v, v).real - 1.0) < 1e-12
     assert np.allclose(oracle.PAULI[axis.value] @ v, outcome * v, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("axis", list(Axis))
-def test_to_z_basis_is_unitary(axis):
-    u = _TO_Z_BASIS[axis]
-    assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_state_vector_validation():
@@ -549,6 +542,26 @@ def test_shared_ghz_branches_match_reference(rseed, steps):
             got = measure_pauli(got[1], site, axis, rng_got)
             want = oracle.ref_measure_pauli(want[1], site, axis, rng_want)
             assert_same_sample(got, want, rng_got, rng_want)
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=STATE_KINDS, n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_joint_distribution_matches_oracle(kind, n, seed, data):
+    state = structured_state(kind, n, seed)
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    axes = [(s, data.draw(st.sampled_from(list(Axis)))) for s in sites]
+    dist = joint_distribution(state, axes)
+    k = len(axes)
+    # the first entry of a tuple varies fastest
+    assert list(dist) == [tuple(-1 if (m >> j) & 1 else 1 for j in range(k)) for m in range(1 << k)]
+    for outcome, got in dist.items():
+        proj = np.eye(1 << n)
+        for (site, axis), o in zip(axes, outcome):
+            proj = proj @ oracle.pauli_projector(site, axis.value, o, n)
+        want = oracle.born_probability(state.amps, proj)
+        assert got == pytest.approx(want, abs=1e-12)
+        if want < 1e-20:
+            assert got == 0.0
 
 
 def test_shared_ghz_branch_is_built_once():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ghzlab import teleport
 from ghzlab.game import PATTERNS, TrialStreams
 from ghzlab.qsim import (
     Axis,
@@ -114,6 +115,23 @@ def test_run_trial_records_are_consistent():
                 assert rec.corrected_outcomes[j] == rec.raw_outcomes[j] * rule.sign(
                     rec.bell_outcomes[j], axes[j]
                 )
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.value)
+def test_run_trial_never_takes_a_rounding_branch(pattern, monkeypatch):
+    # the top draw reaches site 8 with a weight 1 - p_plus of about 1e-15
+    # on its empty outcome for the patterns with target +1
+    def unit_norm(measure):
+        def checked(*args):
+            outcome, state = measure(*args)
+            assert np.vdot(state.amps, state.amps).real == pytest.approx(1.0, abs=1e-12)
+            return outcome, state
+
+        return checked
+
+    monkeypatch.setattr(teleport, "bell_measure", unit_norm(teleport.bell_measure))
+    monkeypatch.setattr(teleport, "measure_pauli", unit_norm(teleport.measure_pauli))
+    assert run_trial(pattern, oracle.TopDraw()).win
 
 
 def test_raw_success_is_fifty_fifty():

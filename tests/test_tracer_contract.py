@@ -53,14 +53,14 @@ def test_every_record_sink_target_is_traced():
 # (argv, random draws, sampling collapses) of a traced run of the command
 TRACED_COMMANDS = (
     (("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "200", "--seed", "5",
-      "--format", "jsonl"), 1281, 540),
+      "--format", "jsonl"), 1249, 540),
     (("game", "--strategy", "lhv", "--trials", "200", "--seed", "5", "--format", "json"), 501, 0),
     # a table team draws only the referee's pattern: its setup draws nothing
     (("game", "--strategy", "classical-best", "--trials", "200", "--seed", "5", "--format", "json"),
      200, 0),
     (("game", "--strategy", "random", "--trials", "200", "--seed", "5", "--format", "json"), 800, 0),
-    (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 251, 240),
-    (("sweep", "--grid", "0.5", "1", "--trials", "100", "--seed", "5", "--format", "json"), 1003, 454),
+    (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 240, 240),
+    (("sweep", "--grid", "0.5", "1", "--trials", "100", "--seed", "5", "--format", "json"), 985, 454),
 )
 
 
