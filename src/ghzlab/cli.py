@@ -301,9 +301,11 @@ def cmd_teleport(args) -> Document:
     lines.append(f"overall raw success: {summary.raw_success_rate:.6f}")
     expected = summary.trials / 64
     sigma = math.sqrt(summary.trials * (1 / 64) * (63 / 64))
-    worst = max(abs(c - expected) for c in summary.bell_histogram.values())
+    hits = list(summary.bell_histogram.values())
+    # an unhit cell counts 0, so it lies ``expected`` away
+    worst = max(abs(c - expected) for c in hits + [0] * (64 - len(hits)))
     lines.append(
-        f"Bell-outcome histogram: {len(summary.bell_histogram)} of 64 cells hit, "
+        f"Bell-outcome histogram: {len(hits)} of 64 cells hit, "
         f"worst |count - {expected:.1f}| = {worst:.1f} vs 4-sigma {4 * sigma:.1f} "
         f"over n={summary.trials}"
     )

@@ -67,6 +67,8 @@ class ParitySystem:
 
     def drop(self, index: int) -> "ParitySystem":
         """The same system with one constraint removed."""
+        if not 0 <= index < len(self.constraints):
+            raise IndexError(f"no constraint {index} among {len(self.constraints)}")
         kept = tuple(c for k, c in enumerate(self.constraints) if k != index)
         return ParitySystem(self.variables, kept)
 
@@ -185,8 +187,13 @@ def solve_enumerate(system: ParitySystem) -> "Sat | Unsat":
 
 
 def verify_certificate(system: ParitySystem, certificate: Sequence[int]) -> bool:
-    """Check that multiplying the cited constraints proves +1 = -1."""
-    if not certificate:
+    """Check that multiplying the cited constraints proves +1 = -1.
+
+    The certificate must cite distinct constraints by index, without wrapping.
+    """
+    if not certificate or len(set(certificate)) < len(certificate):
+        return False
+    if not all(0 <= k < len(system.constraints) for k in certificate):
         return False
     occurrences: Counter[str] = Counter()
     target_product = 1

@@ -22,7 +22,7 @@ do not multiply: the product rule fails for them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -122,7 +122,7 @@ def abl_distribution(ens: PrePostEnsemble, obs: ProductObservable) -> AblDistrib
 
 def labeled_json(item) -> dict:
     """A dataclass's JSON fields, with its ``observable`` written as a label."""
-    return {**asdict(item), "observable": item.observable.label(SITE_NAMES)}
+    return {**vars(item), "observable": item.observable.label(SITE_NAMES)}
 
 
 @dataclass(frozen=True)

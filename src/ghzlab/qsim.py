@@ -77,12 +77,6 @@ class BellIndex(Enum):
         return member
 
 
-_PAULI = {
-    Axis.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    Axis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    Axis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Components of the +1/-1 eigenvectors of each axis in the z basis.
 _EIGVEC = {
     (Axis.X, 1): (_SQRT1_2, _SQRT1_2),
@@ -187,10 +181,6 @@ class ProductObservable:
     def of(cls, *factors: tuple[int, Axis]) -> "ProductObservable":
         return cls(tuple(factors))
 
-    @property
-    def max_site(self) -> int:
-        return max(site for site, _ in self.factors)
-
     def commutes_with(self, other: "ProductObservable") -> bool:
         """Whether the two products commute as operators.
 
@@ -289,22 +279,22 @@ def _pair_split(n: int, s1: int, s2: int) -> tuple[np.ndarray, ...]:
     return groups
 
 
-def _apply_one_site(amps: np.ndarray, n: int, site: int, mat: np.ndarray) -> np.ndarray:
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} sites")
-    i0, i1 = _site_split(n, site)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    out = np.empty_like(amps)
-    out[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    out[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return out
-
-
 def _apply_factors(amps: np.ndarray, n: int, factors: Iterable[tuple[int, Axis]]) -> np.ndarray:
-    # rightmost factor acts first, as in an operator product
+    """Apply Pauli factors as amplitude swaps and phases; the rightmost acts first."""
     for site, axis in reversed(tuple(factors)):
-        amps = _apply_one_site(amps, n, site, _PAULI[axis])
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} sites")
+        # axis 1 of the view is the site's bit: its up and down amplitudes
+        pair = amps.reshape(-1, 2, 1 << site)
+        up, down = pair[:, 0], pair[:, 1]
+        out = np.empty_like(pair)
+        if axis is Axis.X:
+            out[:, 0], out[:, 1] = down, up
+        elif axis is Axis.Y:
+            out[:, 0], out[:, 1] = -1j * down, 1j * up
+        else:
+            out[:, 0], out[:, 1] = up, -down
+        amps = out.reshape(-1)
     return amps
 
 
@@ -319,8 +309,10 @@ _BELL_ORDER = tuple(BellIndex)
 def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
     """Index of a branch sampled by the Born rule, skipping numerically dead ones.
 
-    A lone live branch is taken without a draw; a draw landing on the
-    rounding gap past the last cumulative weight takes the last live branch.
+    A lone live branch is taken without a draw.  A uniform below 1 scales
+    strictly below ``total``, and the running sum repeats the additions that
+    made ``total``, so every draw falls inside some live branch's interval;
+    the last one is the default past the others.
     """
     live = []
     total = 0.0
@@ -333,12 +325,13 @@ def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
             raise RuntimeError("every measurement branch has zero probability")
         return live[0]
     u = rnd.random() * total
+    last = live.pop()
     acc = 0.0
     for k in live:
         acc += weights[k]
         if u < acc:
             return k
-    return live[-1]
+    return last
 
 
 def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
@@ -425,8 +418,6 @@ def pauli_project(
 
 def _product_branch(state: StateVector, obs: ProductObservable, outcome: int) -> np.ndarray:
     """Unnormalized projection (I + outcome*O)/2 of the state."""
-    if obs.max_site >= state.num_sites:
-        raise ValueError(f"observable site {obs.max_site} out of range")
     return 0.5 * (state.amps + outcome * _apply_factors(state.amps, state.num_sites, obs.factors))
 
 
@@ -460,10 +451,7 @@ def product_project(
 
 def expectation_product(state: StateVector, obs: ProductObservable) -> float:
     """Expectation value <state|O|state> of a Pauli product."""
-    n = state.num_sites
-    if obs.max_site >= n:
-        raise ValueError(f"observable site {obs.max_site} out of range")
-    value = np.vdot(state.amps, _apply_factors(state.amps, n, obs.factors))
+    value = np.vdot(state.amps, _apply_factors(state.amps, state.num_sites, obs.factors))
     return float(value.real)
 
 
@@ -569,14 +557,7 @@ def reduced_density(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     if any(not 0 <= s < n for s in keep):
         raise ValueError(f"sites {keep} out of range for {n} sites")
     rest = [s for s in range(n) if s not in keep]
-    idx = np.arange(1 << n)
-    row = np.zeros(1 << n, dtype=np.int64)
-    for j, s in enumerate(keep):
-        row |= ((idx >> s) & 1) << j
-    col = np.zeros(1 << n, dtype=np.int64)
-    for j, s in enumerate(rest):
-        col |= ((idx >> s) & 1) << j
-    m = np.zeros((1 << len(keep), 1 << len(rest)), dtype=complex)
-    m[row, col] = state.amps
+    # view axis n-1-s is site s; the kept sites, last first, become the row bits
+    order = [n - 1 - s for s in reversed(rest + keep)]
+    m = state.amps.reshape((2,) * n).transpose(order).reshape(1 << len(keep), -1)
     return m @ m.conj().T
-

@@ -29,7 +29,6 @@ from ghzlab.qsim import (
     BellIndex,
     ProductObservable,
     StateVector,
-    _apply_factors,
     _pair_split,
     _site_overlap,
     _site_split,
@@ -84,6 +83,13 @@ def product_matrix(factors: list[tuple[int, str]], n: int) -> np.ndarray:
     for site, axis in factors:
         full = full @ embed({site: PAULI[axis]}, n)
     return full
+
+
+def observable_matrix(obs: ProductObservable, n: int) -> np.ndarray:
+    """Matrix of a package product observable on ``n`` sites."""
+    if any(site >= n for site, _ in obs.factors):
+        raise ValueError(f"observable {obs.label()} reaches past site {n - 1}")
+    return product_matrix([(site, axis.value) for site, axis in obs.factors], n)
 
 
 def expectation(psi: np.ndarray, matrix: np.ndarray) -> float:
@@ -167,6 +173,26 @@ def reduced_density(psi: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     return rho
 
 
+def index_reduced_density(state: StateVector, keep: list[int]) -> np.ndarray:
+    """Partial trace through a (kept bits, other bits) matrix filled by index.
+
+    The package builds the same matrix by transposing the amplitudes, with
+    the same arithmetic after it, so the two must agree exactly.
+    """
+    n = state.num_sites
+    rest = [s for s in range(n) if s not in keep]
+    idx = np.arange(1 << n)
+    row = np.zeros(1 << n, dtype=np.int64)
+    for j, s in enumerate(keep):
+        row |= ((idx >> s) & 1) << j
+    col = np.zeros(1 << n, dtype=np.int64)
+    for j, s in enumerate(rest):
+        col |= ((idx >> s) & 1) << j
+    m = np.zeros((1 << len(keep), 1 << len(rest)), dtype=complex)
+    m[row, col] = state.amps
+    return m @ m.conj().T
+
+
 def random_state(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -197,16 +223,15 @@ def basis_state(bits: str) -> StateVector:
 
 def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
     """Apply a product observable as an operator (the result stays normalized)."""
-    if obs.max_site >= state.num_sites:
-        raise ValueError(f"observable site {obs.max_site} out of range")
-    return StateVector(state.num_sites, _apply_factors(state.amps, state.num_sites, obs.factors), copy=False)
+    matrix = observable_matrix(obs, state.num_sites)
+    return StateVector(state.num_sites, matrix @ state.amps, copy=False)
 
 
 def commutes_on_state(state: StateVector, o1: ProductObservable, o2: ProductObservable) -> bool:
     """Whether (O1*O2 - O2*O1) annihilates the given state."""
-    n = state.num_sites
-    a = _apply_factors(_apply_factors(state.amps, n, o2.factors), n, o1.factors)
-    b = _apply_factors(_apply_factors(state.amps, n, o1.factors), n, o2.factors)
+    m1, m2 = observable_matrix(o1, state.num_sites), observable_matrix(o2, state.num_sites)
+    a = m1 @ (m2 @ state.amps)
+    b = m2 @ (m1 @ state.amps)
     return float(np.linalg.norm(a - b)) < ATOL_NORM
 
 
@@ -280,7 +305,8 @@ def parse_system(text: str) -> ParitySystem:
 # collapsed states and keeps one.  Seeded-equality tests compare the package
 # against these, outcome by outcome, amplitude by amplitude and draw by draw.
 # They reuse the package's index and single-site overlap kernels, so what
-# they pin down is the branch choice, the draws taken and the collapse.
+# they pin down is the branch choice, the draws taken and the collapse; the
+# product measurement applies its observable as a dense matrix instead.
 
 
 def ref_pick_branch(rnd, p_plus: float) -> int:
@@ -323,7 +349,7 @@ def ref_measure_pauli(state, site, axis, rnd):
 
 def ref_measure_product(state, obs, rnd):
     n = state.num_sites
-    o_amps = _apply_factors(state.amps, n, obs.factors)
+    o_amps = observable_matrix(obs, n) @ state.amps
     w_plus = 0.5 * (state.amps + o_amps)
     p_plus = float(np.vdot(w_plus, w_plus).real)
     outcome = ref_pick_branch(rnd, p_plus)

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 import tempfile
 import tracemalloc
@@ -339,6 +341,22 @@ def test_failed_write_leaves_existing_output(tmp_path, capsys, monkeypatch):
     assert "No space left on device" in err
     assert target.read_text() == "earlier report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_to_device_leaves_it_in_place(capsys):
+    code, out, _ = run_cli(capsys, "game", "--trials", "5", "--out", "/dev/null")
+    assert code == 0 and out == ""
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+def test_teleport_text_counts_unhit_cells(capsys):
+    # one of the 64 Bell-outcome cells stays empty at this seed and size
+    code, out, _ = run_cli(capsys, "teleport", "--trials", "384", "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "Bell-outcome histogram: 63 of 64 cells hit, "
+        "worst |count - 6.0| = 6.0 vs 4-sigma 9.7 over n=384"
+    )
 
 
 # sha256 of seeded outputs, one per format the benchmark checks; any change

@@ -260,3 +260,18 @@ def test_result_json_shapes():
     assert sat == {"status": "sat", "assignment": {"x": -1}}
     unsat = result_to_json_dict(solve_gf2(build_classical_game_system()))
     assert unsat == {"status": "unsat", "certificate": [0, 1, 2, 3]}
+
+
+def test_certificate_must_cite_distinct_constraints_in_range():
+    s = build_classical_game_system()
+    assert verify_certificate(s, (0, 1, 2, 3))
+    for bad in ((-4, -3, -2, -1), (0, 1, 2, 4), (0, 1, 2, 3, 1, 1), (0, 0), ()):
+        assert not verify_certificate(s, bad)
+
+
+def test_drop_rejects_missing_constraint():
+    s = build_classical_game_system()
+    assert s.drop(3).constraints == s.constraints[:3]
+    for index in (99, 4, -1):
+        with pytest.raises(IndexError):
+            s.drop(index)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlab.qsim import (
     _EIGVEC,
+    MIN_BRANCH_PROB,
     Axis,
     BellIndex,
     ProductObservable,
     StateVector,
+    _apply_factors,
+    _pick,
     bell_measure,
     bell_project,
     expectation_product,
@@ -20,6 +23,7 @@ from ghzlab.qsim import (
     pauli_eigenstate,
     pauli_product,
     pauli_project,
+    product_project,
     reduced_density,
     tensor_product,
 )
@@ -607,3 +611,55 @@ def test_bell_measure_lone_branch_draws_nothing():
     ref_rng = np.random.default_rng(3)
     assert oracle.ref_bell_measure(make_singlet(), 0, 1, ref_rng)[0] is BellIndex.PSI_MINUS
     assert ref_rng.bit_generator.state != before
+
+
+# ---------------------------------------------------------------------------
+# Pauli products as swaps and phases, the branch picker, and the partial trace
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=STATE_KINDS, n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_apply_factors_equals_dense_product(kind, n, seed, data):
+    amps = structured_state(kind, n, seed).amps
+    factors = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(list(Axis))), min_size=1, max_size=6))
+    want = oracle.product_matrix([(s, a.value) for s, a in factors], n) @ amps
+    assert np.array_equal(_apply_factors(amps, n, factors), want)
+
+
+def test_observable_past_last_site_is_rejected():
+    obs = pauli_product("xxxx")
+    for call in (
+        lambda: expectation_product(make_ghz(), obs),
+        lambda: product_project(make_ghz(), obs, 1),
+        lambda: measure_product(make_ghz(), obs, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="site 3 out of range for 3 sites"):
+            call()
+
+
+@settings(deadline=None, max_examples=200)
+@given(weights=st.lists(st.floats(MIN_BRANCH_PROB, 1.0) | st.just(0.0), min_size=2, max_size=4)
+       .filter(lambda w: any(x >= MIN_BRANCH_PROB for x in w)))
+@example(weights=[0.5, 0.5])  # totals that are powers of two
+@example(weights=[1.0, 1.0])
+@example(weights=[0.25, 0.25, 0.25, 0.25])
+@example(weights=[0.5, 0.0, 0.5, 1e-15])
+@example(weights=[1 / 3, 2 / 3])
+@example(weights=[0.1, 0.2, 0.3, 0.4])
+def test_pick_top_draw_lands_in_last_live_branch(weights):
+    live = [k for k, w in enumerate(weights) if w >= MIN_BRANCH_PROB]
+    acc = 0.0
+    for k in live:
+        acc += weights[k]
+    # the largest uniform scales strictly below the running sum, so no draw lands past it
+    assert oracle.TopDraw().random() * acc < acc
+    assert _pick(oracle.TopDraw(), weights) == live[-1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=STATE_KINDS, n=st.integers(1, 7), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_reduced_density_equals_index_construction(kind, n, seed, data):
+    state = structured_state(kind, n, seed)
+    keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    assert np.array_equal(reduced_density(state, keep), oracle.index_reduced_density(state, keep))
