@@ -15,6 +15,7 @@ strategy, decides whether a seat's detector fires.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -124,18 +125,10 @@ def all_tables() -> Iterable[DeterministicTable]:
 
 def scan_deterministic() -> ScanResult:
     """Exhaustively evaluate every deterministic table against all patterns."""
-    histogram: dict[float, int] = {}
-    best_rate = -1.0
-    best: list[DeterministicTable] = []
-    for table in all_tables():
-        rate = table.expected_win_rate()
-        histogram[rate] = histogram.get(rate, 0) + 1
-        if rate > best_rate:
-            best_rate = rate
-            best = [table]
-        elif rate == best_rate:
-            best.append(table)
-    return ScanResult(best_rate, tuple(best), histogram)
+    rates = {table: table.expected_win_rate() for table in all_tables()}
+    best_rate = max(rates.values())
+    best = tuple(table for table, rate in rates.items() if rate == best_rate)
+    return ScanResult(best_rate, best, dict(Counter(rates.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +251,27 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, used to label trials
 class _RoleStream:
     """One role's generator, sought onto the current trial at its first draw.
 
-    Until then ``random`` and ``integers`` are seeking stand-ins; seeking
-    sets them to the generator's own methods, so every later draw in the
-    trial costs what a plain ``Generator`` draw costs.  Any other
-    ``Generator`` attribute is read from the sought generator.
+    ``TrialStreams.trial`` writes the trial index into ``_counter`` and arms
+    the role.  Until its first draw ``random`` and ``integers`` are seeking
+    stand-ins; seeking sets them to the generator's own methods, so every
+    later draw in the trial costs what a plain ``Generator`` draw costs.
+    Any other ``Generator`` attribute is read from the sought generator.
     """
 
-    __slots__ = ("random", "integers", "_gen", "_state", "_counter", "_streams", "_armed", "_sought")
+    __slots__ = ("random", "integers", "_gen", "_state", "_counter", "_armed", "_sought")
 
-    def __init__(self, key: list[int], role: int, streams: "TrialStreams"):
+    def __init__(self, key: list[int], role: int):
         self._gen = gen = np.random.Generator(np.random.Philox(key=0))
         # numpy's Philox state with an exhausted output buffer, in lists where
         # numpy keeps arrays: its setter reads both, and lists halve its cost
         self._counter = [0, role, 0, 0]
         self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
                        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._streams = streams
         self._armed = (self._seek_random, self._seek_integers)
         self._sought = (gen.random, gen.integers)
         self.random, self.integers = self._armed
 
     def _seek(self) -> None:
-        self._counter[2] = self._streams._index  # the only word that differs between trials
         self._gen.bit_generator.state = self._state
         self.random, self.integers = self._sought
 
@@ -317,10 +309,9 @@ class TrialStreams:
         if master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
         self.master_seed = master_seed
-        self._index = 0
         key = [int(k) for k in np.random.SeedSequence(master_seed).generate_state(2, np.uint64)]
         self._key0 = key[0]
-        self._roles = tuple(_RoleStream(key, role, self) for role in range(n_roles))
+        self._roles = tuple(_RoleStream(key, role) for role in range(n_roles))
 
     def trial(self, index: int) -> tuple[int, tuple[RandomSource, ...]]:
         """Move every role onto trial ``index`` and return (trial_seed, generators).
@@ -332,8 +323,8 @@ class TrialStreams:
         """
         if index < 0:
             raise ValueError("trial index must be non-negative")
-        self._index = index
         for role in self._roles:
+            role._counter[2] = index  # the only word that differs between trials
             role.random, role.integers = role._armed
         return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._roles
 
@@ -376,30 +367,33 @@ class ExperimentReport:
         return asdict(self)
 
 
-class _Tally:
-    """Counts over the trials of one run, from which its report is built."""
+def _report_fields(counts: Counter, scored: Callable[[int, bool], bool], master_seed: int) -> dict:
+    """The ``ExperimentReport`` fields of a run's counts, scoring trials that pass ``scored``.
 
-    def __init__(self):
-        self.trials = dict.fromkeys(PATTERNS, 0)
-        self.wins = dict.fromkeys(PATTERNS, 0)
-        self.detected_wins = dict.fromkeys(PATTERNS, 0)  # wins with all three detecting
-        self.detections = [0, 0, 0, 0]  # trials by the number of players detecting
-
-    def report_fields(self, wins: dict[QuestionPattern, int], master_seed: int) -> dict:
-        """The ``ExperimentReport`` fields, scoring ``wins`` per pattern."""
-        trials = sum(self.trials.values())
-        total = sum(wins.values())
-        return dict(
-            trials=trials,
-            wins=total,
-            win_rate=total / trials,
-            per_pattern_trials={p.value: self.trials[p] for p in PATTERNS},
-            per_pattern_win_rates={
-                p.value: (wins[p] / self.trials[p] if self.trials[p] else None) for p in PATTERNS
-            },
-            triple_detection_rate=self.detections[3] / trials,
-            master_seed=master_seed,
-        )
+    ``counts`` is ``_play``'s; ``scored(detections, win)`` tells whether a
+    trial with that many detecting players and that verdict counts as won.
+    """
+    trials, hits = Counter(), Counter()
+    triple = 0
+    for (pattern, detections, win), n in counts.items():
+        trials[pattern] += n
+        if scored(detections, win):
+            hits[pattern] += n
+        if detections == 3:
+            triple += n
+    total = counts.total()
+    won = hits.total()
+    return dict(
+        trials=total,
+        wins=won,
+        win_rate=won / total,
+        per_pattern_trials={p.value: trials[p] for p in PATTERNS},
+        per_pattern_win_rates={
+            p.value: (hits[p] / trials[p] if trials[p] else None) for p in PATTERNS
+        },
+        triple_detection_rate=triple / total,
+        master_seed=master_seed,
+    )
 
 
 def _play(
@@ -407,12 +401,17 @@ def _play(
     trials: int,
     master_seed: int,
     record_sink: Callable[[TrialRecord], None] | None,
-) -> _Tally:
-    """The one trial loop: play seeded rounds, tally them, pass records on."""
+) -> Counter:
+    """The one trial loop: play seeded rounds, count them, pass records on.
+
+    Each trial adds one to ``counts[pattern, detections, win]``: its question
+    pattern, how many of the three players detected, and whether the answer
+    product hit the target.  Every report is read from these counts.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     streams = TrialStreams(master_seed, 5)
-    tally = _Tally()
+    counts = Counter()
     answer = strategy.answer
     eta = strategy.eta
     lossy = eta < 1.0  # no detection coin at eta == 1, so a lossless copy draws as the bare strategy
@@ -436,12 +435,7 @@ def _play(
                 detections.append(True)
                 answers.append(reply)
         won = wins(pattern, answers)
-        detected = sum(detections)
-        tally.trials[pattern] += 1
-        tally.wins[pattern] += won
-        tally.detections[detected] += 1
-        if detected == 3:
-            tally.detected_wins[pattern] += won
+        counts[pattern, sum(detections), won] += 1
         if record_sink is not None:
             record_sink(
                 TrialRecord(
@@ -453,7 +447,7 @@ def _play(
                     seed=trial_seed,
                 )
             )
-    return tally
+    return counts
 
 
 def run_experiment(
@@ -462,11 +456,13 @@ def run_experiment(
     master_seed: int,
     record_sink: Callable[[TrialRecord], None] | None = None,
 ) -> ExperimentReport:
-    """Play ``trials`` seeded rounds and aggregate the outcomes.
+    """Play ``trials`` seeded rounds and report the counts ``_play`` keeps.
 
-    Undetected players are scored with a fair random sign drawn from their
-    own stream, and the failure is recorded in ``TrialRecord.detections``.
-    Identical inputs produce an identical report.
+    Every won round scores, however many players detected.  Undetected
+    players are scored with a fair random sign drawn from their own stream,
+    and the failure is recorded in ``TrialRecord.detections``.  Identical
+    inputs produce an identical report.
     """
-    tally = _play(strategy, trials, master_seed, record_sink)
-    return ExperimentReport(strategy=strategy.name, **tally.report_fields(tally.wins, master_seed))
+    counts = _play(strategy, trials, master_seed, record_sink)
+    fields = _report_fields(counts, lambda detections, win: win, master_seed)
+    return ExperimentReport(strategy=strategy.name, **fields)

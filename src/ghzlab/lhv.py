@@ -19,6 +19,7 @@ detection failures are independent across players.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -32,6 +33,7 @@ from .game import (
     TableStrategy,
     TrialRecord,
     _play,
+    _report_fields,
     play_deterministic,
     wins,
 )
@@ -94,13 +96,15 @@ def lhv_statistics(
     the full admissible family.
     """
     strategy = KitStrategy()
-    tally = _play(strategy, trials, master_seed, record_sink)
-    won = sum(tally.detected_wins.values())
-    triple = tally.detections[3]
+    counts = _play(strategy, trials, master_seed, record_sink)
+    fields = _report_fields(counts, lambda detections, win: detections == 3 and win, master_seed)
+    detected = Counter()
+    for (_, detections, _), n in counts.items():
+        detected[detections] += n
     return LhvReport(
         strategy=strategy.name,
-        **tally.report_fields(tally.detected_wins, master_seed),
-        conditional_win_rate=(won / triple if triple else None),
-        single_detections=tally.detections[1],
-        null_detections=tally.detections[0],
+        **fields,
+        conditional_win_rate=(fields["wins"] / detected[3] if detected[3] else None),
+        single_detections=detected[1],
+        null_detections=detected[0],
     )

@@ -24,6 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .game import PATTERNS
+
 MAX_ENUM_VARIABLES = 24
 _ENUM_CHUNK = 1 << 16
 
@@ -215,13 +217,11 @@ def drop_one_analysis(system: ParitySystem) -> dict[int, "Sat | Unsat"]:
 
 
 def build_classical_game_system() -> ParitySystem:
-    """Constraints a pre-agreed answer table would need to win every pattern."""
+    """Constraints a pre-agreed table would need to win every pattern, in ``PATTERNS`` order."""
     variables = ("X_A", "Y_A", "X_B", "Y_B", "X_C", "Y_C")
-    constraints = (
-        ParityConstraint(("X_A", "X_B", "X_C"), -1),
-        ParityConstraint(("X_A", "Y_B", "Y_C"), 1),
-        ParityConstraint(("Y_A", "X_B", "Y_C"), 1),
-        ParityConstraint(("Y_A", "Y_B", "X_C"), 1),
+    constraints = tuple(
+        ParityConstraint(tuple(f"{q}_{player}" for q, player in zip(p.value, "ABC")), p.target)
+        for p in PATTERNS
     )
     return ParitySystem(variables, constraints)
 

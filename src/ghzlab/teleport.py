@@ -22,6 +22,7 @@ conventions by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -205,32 +206,25 @@ def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:
     """Aggregate per-pattern success rates and the Bell-outcome histogram."""
     if not records:
         raise ValueError("cannot summarize zero records")
-    pattern_counts = {p: 0 for p in PATTERNS}
-    corrected_hits = {p: 0 for p in PATTERNS}
-    raw_hits = {p: 0 for p in PATTERNS}
-    histogram: dict[tuple[BellIndex, BellIndex, BellIndex], int] = {}
-    for rec in records:
-        p = rec.pattern
-        pattern_counts[p] += 1
-        corrected_hits[p] += rec.win
-        raw_hits[p] += wins(p, rec.raw_outcomes)
-        histogram[rec.bell_outcomes] = histogram.get(rec.bell_outcomes, 0) + 1
+    trials = Counter(rec.pattern for rec in records)
+    corrected_hits = Counter(rec.pattern for rec in records if rec.win)
+    raw_hits = Counter(rec.pattern for rec in records if wins(rec.pattern, rec.raw_outcomes))
     per_pattern = {
         p.value: PatternRates(
-            trials=pattern_counts[p],
-            corrected_success_rate=corrected_hits[p] / pattern_counts[p],
-            raw_success_rate=raw_hits[p] / pattern_counts[p],
+            trials=trials[p],
+            corrected_success_rate=corrected_hits[p] / trials[p],
+            raw_success_rate=raw_hits[p] / trials[p],
         )
         for p in PATTERNS
-        if pattern_counts[p]
+        if trials[p]
     }
     total = len(records)
     return TeleportSummary(
         trials=total,
         per_pattern=per_pattern,
-        corrected_success_rate=sum(corrected_hits.values()) / total,
-        raw_success_rate=sum(raw_hits.values()) / total,
-        bell_histogram=histogram,
+        corrected_success_rate=corrected_hits.total() / total,
+        raw_success_rate=raw_hits.total() / total,
+        bell_histogram=dict(Counter(rec.bell_outcomes for rec in records)),
     )
 
 

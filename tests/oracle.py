@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ghzlab.game import _GOLDEN_GAMMA, NO_DETECTION, PATTERNS, ExperimentReport
-from ghzlab.lhv import kit_is_admissible
+from ghzlab.lhv import LhvReport, enumerate_kits, kit_is_admissible
 from ghzlab.parity import ParityConstraint, ParitySystem
 from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
 from ghzlab.qsim import (
@@ -29,9 +29,6 @@ from ghzlab.qsim import (
     BellIndex,
     ProductObservable,
     StateVector,
-    _pair_split,
-    _site_overlap,
-    _site_split,
     make_ghz,
 )
 
@@ -69,8 +66,11 @@ def embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Full operator acting with ``ops[site]`` on each site, identity elsewhere.
 
     Site 0 is the lowest-order bit of the basis index, so the kron chain
-    runs from the highest site down.
+    runs from the highest site down.  A site outside ``range(n)`` raises.
     """
+    for site in ops:
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} sites")
     full = np.eye(1, dtype=complex)
     for site in range(n - 1, -1, -1):
         full = np.kron(full, ops.get(site, ID2))
@@ -86,9 +86,7 @@ def product_matrix(factors: list[tuple[int, str]], n: int) -> np.ndarray:
 
 
 def observable_matrix(obs: ProductObservable, n: int) -> np.ndarray:
-    """Matrix of a package product observable on ``n`` sites."""
-    if any(site >= n for site, _ in obs.factors):
-        raise ValueError(f"observable {obs.label()} reaches past site {n - 1}")
+    """Matrix of a package product observable on ``n`` sites; ``embed`` checks the range."""
     return product_matrix([(site, axis.value) for site, axis in obs.factors], n)
 
 
@@ -304,9 +302,35 @@ def parse_system(text: str) -> ParitySystem:
 # and product measurements, and a Bell measurement that builds all four
 # collapsed states and keeps one.  Seeded-equality tests compare the package
 # against these, outcome by outcome, amplitude by amplitude and draw by draw.
-# They reuse the package's index and single-site overlap kernels, so what
-# they pin down is the branch choice, the draws taken and the collapse; the
-# product measurement applies its observable as a dense matrix instead.
+# The index tables and the single-site overlap below are the oracle's own,
+# built bit by bit; the overlap repeats the package's arithmetic term for
+# term, so the two agree exactly.  The product measurement applies its
+# observable as a dense matrix.
+
+
+def site_indices(n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending basis indices with bit ``site`` clear, and each with that bit set."""
+    clear = np.array([i for i in range(1 << n) if not (i >> site) & 1], dtype=np.int64)
+    return clear, clear | (1 << site)
+
+
+def pair_indices(n: int, s1: int, s2: int) -> tuple[np.ndarray, ...]:
+    """Basis indices grouped by the pair value p = bit(s1) + 2*bit(s2), each ascending."""
+    pair_value = [((i >> s1) & 1) + 2 * ((i >> s2) & 1) for i in range(1 << n)]
+    return tuple(
+        np.array([i for i, v in enumerate(pair_value) if v == p], dtype=np.int64) for p in range(4)
+    )
+
+
+def site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
+    """<outcome eigenstate of ``axis`` at ``site``|psi>, over the other sites."""
+    i0, i1 = site_indices(n, site)
+    up, down = amps[i0], amps[i1]
+    if axis is Axis.Z:
+        return (up if outcome == 1 else down).copy()
+    # <+x| = (1, 1)/sqrt2 and <+y| = (1, -i)/sqrt2; the -1 outcomes negate the second term
+    second = down if axis is Axis.X else -1j * down
+    return (up + second) * SQ2 if outcome == 1 else (up - second) * SQ2
 
 
 def ref_pick_branch(rnd, p_plus: float) -> int:
@@ -322,7 +346,7 @@ def ref_pick_branch(rnd, p_plus: float) -> int:
 
 
 def _ref_site_collapse(n, site, axis, outcome, coeff, prob) -> np.ndarray:
-    i0, i1 = _site_split(n, site)
+    i0, i1 = site_indices(n, site)
     v0, v1 = EIGVEC[(axis, outcome)]
     inv = 1.0 / math.sqrt(prob)
     out = np.zeros(1 << n, dtype=complex)
@@ -337,13 +361,13 @@ def ref_measure_pauli(state, site, axis, rnd):
     n = state.num_sites
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} sites")
-    c_plus = _site_overlap(state.amps, n, site, axis, 1)
+    c_plus = site_overlap(state.amps, n, site, axis, 1)
     p_plus = float(np.vdot(c_plus, c_plus).real)
     outcome = ref_pick_branch(rnd, p_plus)
     if outcome == 1:
         coeff, prob = c_plus, p_plus
     else:
-        coeff, prob = _site_overlap(state.amps, n, site, axis, -1), 1.0 - p_plus
+        coeff, prob = site_overlap(state.amps, n, site, axis, -1), 1.0 - p_plus
     return outcome, StateVector._renormalized(n, _ref_site_collapse(n, site, axis, outcome, coeff, prob))
 
 
@@ -362,7 +386,7 @@ def ref_measure_product(state, obs, rnd):
 
 def ref_bell_project(state, s1, s2, which):
     n = state.num_sites
-    groups = _pair_split(n, s1, s2)
+    groups = pair_indices(n, s1, s2)
     v = BELL_VECTORS[which.value]
     coeff = sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
     p = float(np.vdot(coeff, coeff).real)
@@ -476,6 +500,50 @@ def ref_quantum_experiment(name: str, eta: float, trials: int, master_seed: int)
         },
         triple_detection_rate=triple / trials,
         master_seed=master_seed,
+    )
+
+
+def ref_lhv_statistics(trials: int, master_seed: int) -> LhvReport:
+    """The instruction-kit report, played trial by trial in the harness's draw order.
+
+    A trial draws its kit from the setup stream with ``integers(48)``, then
+    the referee's pattern; a silent seat scores a fair coin from its own
+    stream.  Only a round in which all three detect can be won.
+    """
+    kits = enumerate_kits()
+    streams = RefTrialStreams(master_seed, 5)
+    counts = {p: [0, 0] for p in PATTERNS}  # trials, wins
+    by_detections = [0, 0, 0, 0]
+    for i in range(trials):
+        _, (referee, setup, *players) = streams.trial(i)
+        kit = kits[int(setup.integers(len(kits)))]
+        pattern = PATTERNS[int(referee.random() * 4) & 3]
+        product, detected = 1, 0
+        for reply, prnd in zip(play_with_kit(kit, pattern), players):
+            if reply is NO_DETECTION:
+                product *= 1 if prnd.random() < 0.5 else -1
+            else:
+                product *= reply
+                detected += 1
+        counts[pattern][0] += 1
+        counts[pattern][1] += detected == 3 and product == pattern.target
+        by_detections[detected] += 1
+    wins = sum(w for _, w in counts.values())
+    triple = by_detections[3]
+    return LhvReport(
+        strategy="lhv-instruction-kits",
+        trials=trials,
+        wins=wins,
+        win_rate=wins / trials,
+        per_pattern_trials={p.value: counts[p][0] for p in PATTERNS},
+        per_pattern_win_rates={
+            p.value: (counts[p][1] / counts[p][0] if counts[p][0] else None) for p in PATTERNS
+        },
+        triple_detection_rate=triple / trials,
+        master_seed=master_seed,
+        conditional_win_rate=wins / triple if triple else None,
+        single_detections=by_detections[1],
+        null_detections=by_detections[0],
     )
 
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzlab.game import (
     NO_DETECTION,
@@ -134,3 +136,9 @@ def test_lhv_distinguishable_from_lossy_quantum_team():
 def test_kit_describe_mentions_silence():
     text = enumerate_kits()[0].describe()
     assert "silent" in text
+
+
+@settings(deadline=None, max_examples=40)
+@given(trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_lhv_statistics_matches_reference_loop(trials, seed):
+    assert lhv_statistics(trials, seed) == oracle.ref_lhv_statistics(trials, seed)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzlab.game import PATTERNS, all_tables, play_deterministic, wins
 from ghzlab.parity import (
     ParityConstraint,
     ParitySystem,
@@ -94,6 +95,14 @@ def test_classical_game_system_shape():
     assert len(s.variables) == 6
     assert len(s.constraints) == 4
     assert [c.target for c in s.constraints] == [-1, 1, 1, 1]
+
+
+def test_classical_game_constraints_are_the_referee_rule():
+    s = build_classical_game_system()
+    for table in all_tables():
+        assignment = dict(zip(s.variables, table))
+        for con, pattern in zip(s.constraints, PATTERNS):
+            assert con.satisfied_by(assignment) == wins(pattern, play_deterministic(table, pattern))
 
 
 def test_classical_game_system_unsat_both_solvers():

@@ -663,3 +663,11 @@ def test_reduced_density_equals_index_construction(kind, n, seed, data):
     state = structured_state(kind, n, seed)
     keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     assert np.array_equal(reduced_density(state, keep), oracle.index_reduced_density(state, keep))
+
+
+@pytest.mark.parametrize("site", [3, 5, -1])
+def test_oracle_rejects_sites_out_of_range(site):
+    with pytest.raises(ValueError, match=f"site {site} out of range for 3 sites"):
+        oracle.product_matrix([(site, "x")], 3)
+    with pytest.raises(ValueError, match=f"site {site} out of range for 3 sites"):
+        oracle.pauli_projector(site, "z", 1, 3)

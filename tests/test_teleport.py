@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzlab import teleport
 from ghzlab.game import PATTERNS, TrialStreams
@@ -16,6 +20,8 @@ from ghzlab.qsim import (
 from ghzlab.teleport import (
     BELL_PAIRS,
     REMOTE_SITES,
+    PatternRates,
+    TeleportTrialRecord,
     build_setup,
     derive_correction_rule,
     run_trial,
@@ -207,3 +213,35 @@ def test_nine_fold_coincidence_rate_empirical():
     hits = int((rng.random((n, 9)) < eta).all(axis=1).sum())
     want = oracle.all_detected_probability(eta)
     assert abs(hits / n - want) < oracle.binomial_4sigma(want, n)
+
+
+SIGN_TRIPLES = st.tuples(*[st.sampled_from((1, -1))] * 3)
+
+
+@st.composite
+def teleport_records(draw):
+    pattern = draw(st.sampled_from(PATTERNS))
+    bells = draw(st.tuples(*[st.sampled_from(list(BellIndex))] * 3))
+    corrected = draw(SIGN_TRIPLES)
+    win = math.prod(corrected) == pattern.target
+    return TeleportTrialRecord(pattern, bells, draw(SIGN_TRIPLES), corrected, win)
+
+
+@settings(deadline=None, max_examples=80)
+@given(records=st.lists(teleport_records(), min_size=1, max_size=80))
+def test_summarize_equals_per_record_count(records):
+    trials, corrected, raw, histogram = {}, {}, {}, {}
+    for rec in records:
+        p = rec.pattern.value
+        trials[p] = trials.get(p, 0) + 1
+        corrected[p] = corrected.get(p, 0) + rec.win
+        raw[p] = raw.get(p, 0) + (math.prod(rec.raw_outcomes) == rec.pattern.target)
+        histogram[rec.bell_outcomes] = histogram.get(rec.bell_outcomes, 0) + 1
+    summary = summarize(records)
+    assert summary.trials == len(records)
+    assert list(summary.per_pattern) == [p.value for p in PATTERNS if p.value in trials]
+    for p, n in trials.items():
+        assert summary.per_pattern[p] == PatternRates(n, corrected[p] / n, raw[p] / n)
+    assert summary.corrected_success_rate == sum(corrected.values()) / len(records)
+    assert summary.raw_success_rate == sum(raw.values()) / len(records)
+    assert list(summary.bell_histogram.items()) == list(histogram.items())
