@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from enum import Enum
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -80,8 +81,24 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
+class _Encoder(json.JSONEncoder):
+    """JSON that writes an ``Enum`` as its value and a dataclass as its fields, in declaration order."""
+
+    def default(self, obj):
+        if isinstance(obj, Enum):
+            return obj._value_  # ``value``'s attribute: the property costs more on every record
+        if dataclasses.is_dataclass(obj):
+            return vars(obj)
+        return super().default(obj)
+
+
+# Built once: ``json.dumps`` with any option builds a new encoder per call.
+_LINE = _Encoder().encode
+_DOCUMENT = _Encoder(indent=2).encode
+
+
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _DOCUMENT(obj) + "\n"
 
 
 # What a command returns for ``main`` to write: the whole text, or a writer
@@ -91,7 +108,7 @@ Document = str | Callable[[TextIO], None] | None
 
 def _jsonl(play: Callable) -> Callable[[TextIO], None]:
     """A writer that runs ``play``, writing each trial record as one JSON line when it is produced."""
-    return lambda fh: play(record_sink=lambda rec: fh.write(json.dumps(rec.to_json_dict()) + "\n"))
+    return lambda fh: play(record_sink=lambda rec: fh.write(_LINE(rec) + "\n"))
 
 
 def _csv(header: Sequence[str], rows: list[Sequence]) -> Callable[[TextIO], None]:
@@ -183,7 +200,7 @@ def cmd_game(args) -> Document:
     if args.format == "jsonl":
         return _jsonl(play)
     report = play()
-    return as_text(report) if args.format == "text" else _json_dumps(report.to_json_dict())
+    return as_text(report) if args.format == "text" else _json_dumps(report)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +279,7 @@ def cmd_prove(args) -> Document:
     if args.format == "json":
         return _json_dumps(
             {
-                "system": dataclasses.asdict(system),
+                "system": system,
                 "result": parity.result_to_json_dict(result),
                 "drop_one": {str(k): parity.result_to_json_dict(v) for k, v in drops.items()},
             }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -334,22 +334,12 @@ _ROLE_REFEREE, _ROLE_SETUP, _ROLE_A, _ROLE_B, _ROLE_C = range(5)
 
 @dataclass(frozen=True)
 class TrialRecord:
+    trial_index: int  # the fields in declaration order are the keys of its JSON line
+    seed: int
     pattern: QuestionPattern
     answers: tuple[int, int, int]
     detections: tuple[bool, bool, bool]
     win: bool
-    trial_index: int
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "pattern": self.pattern.value,
-            "answers": list(self.answers),
-            "detections": list(self.detections),
-            "win": self.win,
-        }
 
 
 @dataclass(frozen=True)
@@ -362,9 +352,6 @@ class ExperimentReport:
     per_pattern_win_rates: dict[str, float | None]
     triple_detection_rate: float
     master_seed: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report_fields(counts: Counter, scored: Callable[[int, bool], bool], master_seed: int) -> dict:

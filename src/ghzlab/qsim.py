@@ -171,6 +171,8 @@ class ProductObservable:
         for site, axis in self.factors:
             if site < 0:
                 raise ValueError(f"negative site index {site}")
+            if type(axis) is not Axis:
+                raise ValueError(f"axis must be an Axis, got {axis!r}")
             if seen.setdefault(site, axis) is not axis:
                 raise ValueError(
                     f"site {site} carries both {seen[site].value} and {axis.value}; "
@@ -338,6 +340,8 @@ def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int)
     """Overlap field <outcome eigenstate|psi> over the remaining sites."""
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} sites")
+    if type(axis) is not Axis:
+        raise ValueError(f"axis must be an Axis, got {axis!r}")
     i0, i1 = _site_split(n, site)
     a0 = amps[i0]
     a1 = amps[i1]

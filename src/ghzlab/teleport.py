@@ -131,20 +131,11 @@ def derive_correction_rule() -> CorrectionRule:
 
 @dataclass(frozen=True)
 class TeleportTrialRecord:
-    pattern: QuestionPattern
+    pattern: QuestionPattern  # the fields in declaration order are the keys of its JSON line
     bell_outcomes: tuple[BellIndex, BellIndex, BellIndex]
     raw_outcomes: tuple[int, int, int]
     corrected_outcomes: tuple[int, int, int]
     win: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern": self.pattern.value,
-            "bell_outcomes": [b.value for b in self.bell_outcomes],
-            "raw_outcomes": list(self.raw_outcomes),
-            "corrected_outcomes": list(self.corrected_outcomes),
-            "win": self.win,
-        }
 
 
 def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecord:

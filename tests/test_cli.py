@@ -312,6 +312,10 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         argv = ("game", "--strategy", strategy, *table, "--eta", "0.5", "--trials", "5")
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and strategy in err and "--eta" in err
+    code, _, err = run_cli(capsys, "game", "--strategy", "classical-table", "--trials", "5")
+    assert code == 1 and "classical-table needs 6 signs" in err
+    code, _, err = run_cli(capsys, "prove", "classical", "1")
+    assert code == 1 and "the classical system takes no signs" in err
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
@@ -435,6 +439,21 @@ KNOWN_OUTPUTS = [
         ("prove", "stapp", "1", "1", "-1", "--format", "json"),
         "195c872496960823dd30b2268a6ee8bffc42806a6bada4f80c51312051320af3",
         id="prove-stapp-json",
+    ),
+    pytest.param(
+        ("prove", "classical", "--format", "json"),
+        "d3c5881b24a2bf31a6d9f9f0aea60021cd4f37e6a403a6d2af276adc26868d67",
+        id="prove-classical-json",
+    ),
+    pytest.param(
+        ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "jsonl"),
+        "4ae1dd5026f767b9dd80bb35f876142843ffb251b1ef7defe4c489ac12a3a42b",
+        id="game-lhv-jsonl",
+    ),
+    pytest.param(
+        ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "text"),
+        "1d716c44953d2635e1aa93f8ab64d21a524fd4f28b51b327e5ef6c58534144b3",
+        id="game-lhv-text",
     ),
 ]
 

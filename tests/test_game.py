@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlab.game import (
@@ -448,6 +448,28 @@ def test_trial_streams_known_answers(seed, role, index, label, floats, integer):
     assert got_label == label
     assert [gens[role].random() for _ in floats] == [float.fromhex(h) for h in floats]
     assert int(gens[role].integers(48)) == integer
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**64),
+    role=st.integers(0, 4),
+    index=st.integers(0, 10**9) | st.sampled_from((2**31 - 1, 2**31, 10**9)),
+    before=st.integers(0, 2**32),
+)
+@example(seed=0, role=0, index=2**31 - 1, before=0)
+@example(seed=9, role=4, index=2**31, before=2**31 - 1)
+@example(seed=12345, role=2, index=10**9, before=5)
+def test_trial_streams_match_numpy_public_philox(seed, role, index, before):
+    """The Philox state ``_RoleStream`` writes is the one numpy's public constructor builds."""
+    streams = TrialStreams(seed, 5)
+    for gen in streams.trial(before)[1]:  # leave another trial's state behind first
+        gen.random()
+    gen = streams.trial(index)[1][role]
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    public = np.random.Generator(np.random.Philox(counter=[0, role, index, 0], key=key))
+    assert [gen.random() for _ in range(6)] == [public.random() for _ in range(6)]
+    assert int(gen.integers(48)) == int(public.integers(48))
 
 
 def test_skipped_role_matches_fresh_streams():

@@ -264,6 +264,17 @@ def test_format_proof_mentions_certificate():
     assert "without [3]: SAT" in text
 
 
+def test_format_proof_of_a_satisfiable_system():
+    s = build_classical_game_system().drop(0)
+    text = format_proof(s, solve_gf2(s), drop_one_analysis(s))
+    assert "verdict: SAT" in text.splitlines()
+    (line,) = [row for row in text.splitlines() if row.startswith("  assignment: ")]
+    pairs = dict(item.split("=") for item in line.removeprefix("  assignment: ").split())
+    assert list(pairs) == list(s.variables) and len(pairs) == 6
+    assignment = {name: int(value) for name, value in pairs.items()}
+    assert all(c.satisfied_by(assignment) for c in s.constraints)
+
+
 def test_result_json_shapes():
     sat = result_to_json_dict(solve_gf2(system(["x"], [(("x",), -1)])))
     assert sat == {"status": "sat", "assignment": {"x": -1}}

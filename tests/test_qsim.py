@@ -25,6 +25,7 @@ from ghzlab.qsim import (
     pauli_project,
     product_project,
     reduced_density,
+    results_weight,
     tensor_product,
 )
 
@@ -220,6 +221,32 @@ def test_product_observable_validation():
         ProductObservable(((0, Axis.X), (0, Axis.Y)))  # mixed axes on one site
     # same-axis repeats are allowed
     ProductObservable(((0, Axis.Y), (0, Axis.Y)))
+
+
+# A Pauli axis must be an ``Axis``: a letter such as "x" is rejected before
+# anything is computed or stored.
+
+
+def test_pauli_project_rejects_axis_letter():
+    with pytest.raises(ValueError, match="Axis"):
+        pauli_project(pauli_eigenstate(Axis.Y, 1), 0, "x", -1)
+
+
+def test_results_weight_rejects_axis_letter():
+    with pytest.raises(ValueError, match="Axis"):
+        results_weight(pauli_eigenstate(Axis.Y, 1), [(0, "x", -1)])
+
+
+def test_product_observable_rejects_axis_letter():
+    with pytest.raises(ValueError, match="Axis"):
+        expectation_product(make_ghz(), ProductObservable(((0, "x"), (1, "x"), (2, "x"))))
+    assert pauli_product("xYy").factors == ((0, Axis.X), (1, Axis.Y), (2, Axis.Y))
+
+
+def test_measure_pauli_rejects_axis_letter_before_storing():
+    with pytest.raises(ValueError, match="Axis"):
+        measure_pauli(make_ghz(), 0, "x", np.random.default_rng(0))
+    assert (0, "x") not in make_ghz().memo
 
 
 def test_expectation_ghz_products():
