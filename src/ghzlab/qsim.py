@@ -12,11 +12,11 @@ Conventions, fixed here and relied on by every other module:
   holds its two nonzero components; the Pauli eigenvectors are ``_EIGVEC``.
 
 States are value objects: amplitude buffers are marked read-only, so a
-state can be shared.  ``make_ghz()`` returns one cached state, and
-:func:`measure_pauli` returns the same collapsed branch object every time
-it collapses that state the same way.  Randomness enters only through an
-explicit ``numpy.random.Generator`` argument, so all sampling is
-reproducible and the functions here are pure.
+state can be shared.  ``make_ghz()`` and ``teleport.build_setup()`` return
+cached states, and :func:`measure_pauli` and :func:`bell_measure` return the
+same branch object every time they collapse such a state the same way.
+Randomness enters only through an explicit ``numpy.random.Generator``
+argument, so all sampling is reproducible and the functions here are pure.
 """
 
 from __future__ import annotations
@@ -135,22 +135,28 @@ class StateVector:
 
 
 class _SharedState(StateVector):
-    """A state reused across trials: ``make_ghz()`` and its measured branches.
+    """A state reused across trials: ``make_ghz()``, ``teleport.build_setup()`` and their branches.
 
-    ``memo`` maps each (site, axis) measured on it to the Born weights
-    ``(p_plus, 1 - p_plus)`` and the two collapsed branches, each built the
-    first time it is drawn.  Only sites not yet ``measured`` on the path
-    from ``make_ghz()`` lead to shared branches, which bounds the tree;
-    measuring a site again gives a plain state.  Per-trial states keep
-    the plain, smaller layout.
+    ``memo`` maps each Pauli ``(site, axis)`` and Bell pair ``(s1, s2)``
+    measured on it to ``[picker, *children]``: the :func:`_picker` of the
+    Born weights, then one collapsed branch per outcome, built the first
+    time it is drawn and kept; a dead branch stays ``None``.  Only sites not
+    yet ``measured`` on the path from the root lead to shared branches,
+    which bounds the tree; measuring a site again gives a plain state.
     """
 
     __slots__ = ("memo", "measured")
 
-    def __init__(self, num_sites: int, amps: np.ndarray, measured: tuple[int, ...] = ()):
+    def __init__(self, num_sites: int, amps: np.ndarray, measured: frozenset[int] = frozenset()):
         super().__init__(num_sites, amps, copy=False)
         self.memo = {}
         self.measured = measured
+
+    def keep(self, key: tuple, entry: list, k: int, sites: tuple[int, ...], branch: StateVector):
+        """Keep ``entry`` for ``key``, and ``branch``, collapsed on ``sites``, as child ``k``."""
+        self.memo[key] = entry
+        child = entry[k + 1] = _SharedState(self.num_sites, branch.amps, self.measured.union(sites))
+        return child
 
 
 @dataclass(frozen=True)
@@ -308,32 +314,44 @@ _OUTCOMES = (1, -1)
 _BELL_ORDER = tuple(BellIndex)
 
 
-def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
-    """Index of a branch sampled by the Born rule, skipping numerically dead ones.
+def _picker(weights: Sequence[float]) -> tuple:
+    """Born picker ``(total, cuts, last, weights)``, skipping numerically dead branches.
 
-    A lone live branch is taken without a draw.  A uniform below 1 scales
-    strictly below ``total``, and the running sum repeats the additions that
-    made ``total``, so every draw falls inside some live branch's interval;
-    the last one is the default past the others.
+    ``cuts`` holds the running sum and index of every live branch but the
+    last, the default past them; ``total`` continues the same additions.
     """
-    live = []
-    total = 0.0
+    acc, cuts = 0.0, []
     for k, w in enumerate(weights):
         if w >= MIN_BRANCH_PROB:
-            live.append(k)
-            total += w
-    if len(live) < 2:
-        if not live:
-            raise RuntimeError("every measurement branch has zero probability")
-        return live[0]
-    u = rnd.random() * total
-    last = live.pop()
-    acc = 0.0
-    for k in live:
-        acc += weights[k]
-        if u < acc:
-            return k
+            acc += w
+            cuts.append((acc, k))
+    if not cuts:
+        raise RuntimeError("every measurement branch has zero probability")
+    total, last = cuts.pop()
+    return total, tuple(cuts), last, weights
+
+
+def _draw(rnd: RandomSource, picker: tuple) -> int:
+    """The picked index; a lone live branch takes no draw, any uniform below 1 a live one."""
+    total, cuts, last, _ = picker
+    if cuts:
+        u = rnd.random() * total
+        for acc, k in cuts:
+            if u < acc:
+                return k
     return last
+
+
+def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
+    """Index of a branch sampled by the Born rule, skipping numerically dead ones."""
+    return _draw(rnd, _picker(weights))
+
+
+def _kept(state: StateVector, key: tuple, sites: tuple[int, ...]) -> tuple[bool, list | None]:
+    """Whether ``state`` is shared with ``sites`` unmeasured, and if so its entry for ``key``."""
+    if type(state) is _SharedState and state.measured.isdisjoint(sites):
+        return True, state.memo.get(key)
+    return False, None
 
 
 def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
@@ -374,32 +392,24 @@ def measure_pauli(
 
     Returns the sampled outcome (+1 or -1) and the renormalized collapsed
     state.  The input state is not modified.  The returned state may be
-    shared: on ``make_ghz()`` and the branches measured from it, the Born
-    weights and each collapsed branch are computed once and kept on that
-    shared state, and later calls draw with the same weights and return
-    the same branch.  No other state keeps anything.
+    shared: on a shared state (see :class:`_SharedState`) the Born picker
+    and each collapsed branch are computed once and kept, and later calls
+    draw with the same picker and return the same branch.  No other state
+    keeps anything.
     """
-    if type(state) is _SharedState and site not in state.measured:
-        entry = state.memo.get((site, axis))
-        if entry is None:
-            c_plus = _site_overlap(state.amps, state.num_sites, site, axis, 1)
-            p_plus = float(np.vdot(c_plus, c_plus).real)
-            entry = state.memo[(site, axis)] = [(p_plus, 1.0 - p_plus), None, None]
-        k = _pick(rnd, entry[0])
-        branch = entry[k + 1]
-        if branch is None:
-            n = state.num_sites
-            coeff = _site_overlap(state.amps, n, site, axis, _OUTCOMES[k])
-            amps = _site_collapse(n, site, axis, _OUTCOMES[k], coeff, entry[0][k]).amps
-            branch = entry[k + 1] = _SharedState(n, amps, state.measured + (site,))
-        return _OUTCOMES[k], branch
+    shared, entry = _kept(state, (site, axis), (site,))
     n = state.num_sites
-    c_plus = _site_overlap(state.amps, n, site, axis, 1)
-    p_plus = float(np.vdot(c_plus, c_plus).real)
-    weights = (p_plus, 1.0 - p_plus)
-    k = _pick(rnd, weights)
-    coeff = c_plus if k == 0 else _site_overlap(state.amps, n, site, axis, -1)
-    return _OUTCOMES[k], _site_collapse(n, site, axis, _OUTCOMES[k], coeff, weights[k])
+    if entry is None:
+        c_plus = _site_overlap(state.amps, n, site, axis, 1)
+        p_plus = float(np.vdot(c_plus, c_plus).real)
+        entry = [_picker((p_plus, 1.0 - p_plus)), None, None]
+    k = _draw(rnd, entry[0])
+    outcome = _OUTCOMES[k]
+    if entry[k + 1] is not None:
+        return outcome, entry[k + 1]
+    coeff = _site_overlap(state.amps, n, site, axis, outcome)
+    branch = _site_collapse(n, site, axis, outcome, coeff, entry[0][3][k])
+    return outcome, state.keep((site, axis), entry, k, (site,), branch) if shared else branch
 
 
 def pauli_project(
@@ -503,13 +513,20 @@ def bell_measure(
 ) -> tuple[BellIndex, StateVector]:
     """Projective measurement in the Bell basis of sites (s1, s2).
 
-    Every branch is weighed, but only the sampled one is collapsed.
+    Every branch is weighed, but only the sampled one is collapsed; a shared
+    state keeps the picker and each branch, as in :func:`measure_pauli`.
     """
-    groups, overlaps = _bell_overlaps(state, s1, s2, _BELL_ORDER)
-    weights = [float(np.vdot(c, c).real) for c in overlaps]
-    k = _pick(rnd, weights)
+    shared, entry = _kept(state, (s1, s2), (s1, s2))
+    if entry is None:
+        _, overlaps = _bell_overlaps(state, s1, s2, _BELL_ORDER)
+        entry = [_picker([float(np.vdot(c, c).real) for c in overlaps]), None, None, None, None]
+    k = _draw(rnd, entry[0])
     which = _BELL_ORDER[k]
-    return which, _bell_collapse(state.num_sites, groups, which, overlaps[k], weights[k])
+    if entry[k + 1] is not None:
+        return which, entry[k + 1]
+    groups, (coeff,) = _bell_overlaps(state, s1, s2, (which,))
+    branch = _bell_collapse(state.num_sites, groups, which, coeff, entry[0][3][k])
+    return which, state.keep((s1, s2), entry, k, (s1, s2), branch) if shared else branch
 
 
 def results_weight(state: StateVector, results: Sequence[tuple[int, Axis, int]]) -> float:

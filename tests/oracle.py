@@ -16,10 +16,11 @@ package can be compared with them exactly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ghzlab.game import _GOLDEN_GAMMA, NO_DETECTION, PATTERNS, ExperimentReport
+from ghzlab.game import _GOLDEN_GAMMA, NO_DETECTION, PATTERNS, ExperimentReport, draw_pattern, wins
 from ghzlab.lhv import LhvReport, enumerate_kits, kit_is_admissible
 from ghzlab.parity import ParityConstraint, ParitySystem
 from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
@@ -30,6 +31,13 @@ from ghzlab.qsim import (
     ProductObservable,
     StateVector,
     make_ghz,
+)
+from ghzlab.teleport import (
+    BELL_PAIRS,
+    REMOTE_SITES,
+    TeleportTrialRecord,
+    build_setup,
+    derive_correction_rule,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -303,17 +311,19 @@ def parse_system(text: str) -> ParitySystem:
 # collapsed states and keeps one.  Seeded-equality tests compare the package
 # against these, outcome by outcome, amplitude by amplitude and draw by draw.
 # The index tables and the single-site overlap below are the oracle's own,
-# built bit by bit; the overlap repeats the package's arithmetic term for
-# term, so the two agree exactly.  The product measurement applies its
-# observable as a dense matrix.
+# the tables built bit by bit and cached, as they are only read; the overlap
+# repeats the package's arithmetic term for term, so the two agree exactly.
+# The product measurement applies its observable as a dense matrix.
 
 
+@lru_cache(maxsize=None)
 def site_indices(n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending basis indices with bit ``site`` clear, and each with that bit set."""
     clear = np.array([i for i in range(1 << n) if not (i >> site) & 1], dtype=np.int64)
     return clear, clear | (1 << site)
 
 
+@lru_cache(maxsize=None)
 def pair_indices(n: int, s1: int, s2: int) -> tuple[np.ndarray, ...]:
     """Basis indices grouped by the pair value p = bit(s1) + 2*bit(s2), each ascending."""
     pair_value = [((i >> s1) & 1) + 2 * ((i >> s2) & 1) for i in range(1 << n)]
@@ -400,6 +410,27 @@ def ref_bell_project(state, s1, s2, which):
     return p, StateVector(n, out, copy=False)
 
 
+def ref_pick(rnd, weights) -> int:
+    """Born pick of a branch index by a running sum over the live weights, drawn afresh.
+
+    A lone live branch is taken without a draw; a draw past every threshold
+    takes the last live branch.
+    """
+    live = [(k, w) for k, w in enumerate(weights) if w >= MIN_BRANCH_PROB]
+    if len(live) == 1:
+        return live[0][0]
+    total = 0.0
+    for _, w in live:
+        total += w
+    u = rnd.random() * total
+    acc = 0.0
+    for k, w in live[:-1]:
+        acc += w
+        if u < acc:
+            return k
+    return live[-1][0]
+
+
 def ref_bell_measure(state, s1, s2, rnd):
     """Builds every collapsed branch and always draws, even for one live branch."""
     branches = []
@@ -429,7 +460,9 @@ def ref_bell_measure(state, s1, s2, rnd):
 # every role is reset onto its trial through numpy's state setter, whether
 # the trial draws from it or not.  The loops below play the quantum team and
 # the generalized-elements check with it and with ``ref_measure_pauli`` on a
-# private copy of the GHZ state, so no memo of the package takes part.
+# private copy of the GHZ state, and the teleported game with it and with
+# ``ref_bell_measure`` and ``ref_measure_pauli`` on a private copy of the
+# nine-site setup, so no memo of the package takes part.
 
 
 class RefTrialStreams:
@@ -561,3 +594,26 @@ def ref_generalized_elements(trials: int, master_seed: int) -> GeneralizedElemen
             matches += product == pattern.target
         checks.append(PatternCheck(pattern=pattern, trials=trials, target=pattern.target, matches=matches))
     return GeneralizedElementsReport(tuple(checks))
+
+
+def ref_teleport_records(trials: int, master_seed: int) -> list[TeleportTrialRecord]:
+    """The records of ``teleport.run_trials``, played trial by trial on a plain nine-site state."""
+    rule = derive_correction_rule()
+    setup = StateVector(9, build_setup().amps)
+    streams = RefTrialStreams(master_seed, 2)
+    records = []
+    for i in range(trials):
+        _, (referee, lab) = streams.trial(i)
+        pattern = draw_pattern(referee)
+        state, bells, raws = setup, [], []
+        for s1, s2 in BELL_PAIRS:
+            which, state = ref_bell_measure(state, s1, s2, lab)
+            bells.append(which)
+        for site, axis in zip(REMOTE_SITES, pattern.axes):
+            outcome, state = ref_measure_pauli(state, site, axis, lab)
+            raws.append(outcome)
+        corrected = tuple(r * rule.sign(b, a) for r, b, a in zip(raws, bells, pattern.axes))
+        records.append(
+            TeleportTrialRecord(pattern, tuple(bells), tuple(raws), corrected, wins(pattern, corrected))
+        )
+    return records

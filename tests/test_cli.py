@@ -430,6 +430,17 @@ KNOWN_OUTPUTS = [
         "88493f539105fbd1636a564aac8eb6e5be6a4a387e8344ad041c2555cb3e7635",
         id="teleport-csv",
     ),
+    # the full tree of 2389 shared branches under build_setup(), and a second seed
+    pytest.param(
+        ("teleport", "--trials", "4096", "--seed", "11", "--format", "json"),
+        "29c006703b463fe158c585f382b0329638e31df6c07a5579652a3b95be62eed6",
+        id="teleport-4096-json",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "1024", "--seed", "3", "--format", "jsonl"),
+        "d3376f19b3b49ee062ef3e17b7d69b7f392126b8fcd034dde0872a1a9f4ccbca",
+        id="teleport-1024-jsonl",
+    ),
     pytest.param(
         ("elements", "1", "1", "-1", "--format", "json"),
         "30920bcc1712cf43dc3977da3b9eae004b91c411847ff79a5949ef0d827798c1",

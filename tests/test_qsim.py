@@ -11,7 +11,9 @@ from ghzlab.qsim import (
     ProductObservable,
     StateVector,
     _apply_factors,
+    _draw,
     _pick,
+    _picker,
     bell_measure,
     bell_project,
     expectation_product,
@@ -344,6 +346,18 @@ def test_bell_collapse_agrees_with_oracle():
         assert got_p == pytest.approx(want_p, abs=1e-12)
         if collapsed is not None:
             assert np.allclose(collapsed.amps, oracle.collapse(psi.amps, proj), atol=1e-10)
+
+
+def test_bell_measure_on_shared_ghz_keeps_its_branches():
+    rng = np.random.default_rng(4)
+    which, branch = bell_measure(make_ghz(), 0, 1, rng)
+    assert make_ghz().memo[(0, 1)][1 + list(BellIndex).index(which)] is branch
+    # a pair with a measured site gives a plain state and keeps nothing
+    stored = dict(branch.memo)
+    for s1, s2 in ((1, 2), (2, 0)):
+        assert type(bell_measure(branch, s1, s2, rng)[1]) is StateVector
+    assert type(measure_pauli(branch, 0, Axis.X, rng)[1]) is StateVector
+    assert branch.memo == stored
 
 
 def test_bell_measure_needs_distinct_sites():
@@ -682,6 +696,25 @@ def test_pick_top_draw_lands_in_last_live_branch(weights):
     # the largest uniform scales strictly below the running sum, so no draw lands past it
     assert oracle.TopDraw().random() * acc < acc
     assert _pick(oracle.TopDraw(), weights) == live[-1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(weights=st.lists(st.floats(MIN_BRANCH_PROB, 1.0) | st.just(0.0), min_size=2, max_size=4)
+       .filter(lambda w: any(x >= MIN_BRANCH_PROB for x in w)),
+       seed=st.integers(0, 2**32 - 1))
+@example(weights=[0.5, 0.5], seed=0)
+@example(weights=[1.0, 1.0], seed=0)
+@example(weights=[0.25, 0.25, 0.25, 0.25], seed=0)
+@example(weights=[0.5, 0.0, 0.5, 1e-15], seed=0)
+@example(weights=[1 / 3, 2 / 3], seed=0)
+@example(weights=[0.1, 0.2, 0.3, 0.4], seed=0)
+def test_prepared_picker_equals_running_sum_pick(weights, seed):
+    picker = _picker(weights)
+    assert _draw(oracle.TopDraw(), picker) == oracle.ref_pick(oracle.TopDraw(), weights)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert _draw(got, picker) == oracle.ref_pick(want, weights)
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 @settings(deadline=None, max_examples=150)

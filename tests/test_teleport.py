@@ -10,6 +10,7 @@ from ghzlab.game import PATTERNS, TrialStreams
 from ghzlab.qsim import (
     Axis,
     BellIndex,
+    bell_measure,
     bell_project,
     expectation_product,
     joint_distribution,
@@ -30,6 +31,7 @@ from ghzlab.teleport import (
 )
 
 import oracle
+from test_game import shared_nodes
 
 
 def test_setup_shape_and_norm():
@@ -245,3 +247,49 @@ def test_summarize_equals_per_record_count(records):
     assert summary.corrected_success_rate == sum(corrected.values()) / len(records)
     assert summary.raw_success_rate == sum(raw.values()) / len(records)
     assert list(summary.bell_histogram.items()) == list(histogram.items())
+
+
+@settings(deadline=None, max_examples=12)
+@given(trials=st.integers(1, 600), seed=st.integers(0, 2**40))
+def test_teleport_matches_reference_loop(trials, seed):
+    records = []
+    summary = run_trials(trials, seed, records.append)
+    want = oracle.ref_teleport_records(trials, seed)
+    assert records == want
+    assert summary == summarize(want)
+
+
+# ---------------------------------------------------------------------------
+# the tree of shared branches under build_setup()
+
+
+def bell_path(seed):
+    rng = np.random.default_rng(seed)
+    state, path = build_setup(), []
+    for s1, s2 in BELL_PAIRS:
+        _, state = bell_measure(state, s1, s2, rng)
+        path.append(state)
+    return path
+
+
+def test_repeated_bell_path_returns_same_children():
+    first, again = bell_path(17), bell_path(17)
+    assert all(a is b for a, b in zip(first, again))
+    assert first[0] in build_setup().memo[BELL_PAIRS[0]][1:]
+
+
+def test_setup_tree_is_bounded_and_stops_growing():
+    teleport.build_setup.cache_clear()  # count only what run_trials grows
+    run_trials(10_000, 5)
+    nodes = shared_nodes(build_setup())
+    assert nodes <= 1 + 4 + 16 + 64 + 256 + 1024 + 1024
+    run_trials(10_000, 6)
+    assert shared_nodes(build_setup()) == nodes
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 1), (0, 9), (-1, 3)])
+def test_bell_measure_rejects_bad_pair_before_storing(s1, s2):
+    stored = dict(build_setup().memo)
+    with pytest.raises(ValueError):
+        bell_measure(build_setup(), s1, s2, np.random.default_rng(0))
+    assert build_setup().memo == stored

@@ -60,13 +60,16 @@ TRACED_COMMANDS = (
      200, 0),
     (("game", "--strategy", "random", "--trials", "200", "--seed", "5", "--format", "json"), 800, 0),
     (("teleport", "--trials", "40", "--seed", "5", "--format", "json"), 240, 240),
+    # the tracer wraps the record sink that teleport.run_trials hands each record
+    (("teleport", "--trials", "64", "--seed", "9", "--format", "jsonl"), 384, 384),
     (("sweep", "--grid", "0.5", "1", "--trials", "100", "--seed", "5", "--format", "json"), 985, 454),
 )
 
 
 @pytest.mark.parametrize("argv, draws, collapses", TRACED_COMMANDS,
                          ids=["game-quantum-eta-jsonl", "game-lhv-json", "game-classical-best-json",
-                              "game-random-json", "teleport-json", "sweep-json"])
+                              "game-random-json", "teleport-json", "teleport-jsonl",
+                              "sweep-json"])
 def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     from ghzlab.cli import main
 
