@@ -88,7 +88,10 @@ class _Encoder(json.JSONEncoder):
         if isinstance(obj, Enum):
             return obj._value_  # ``value``'s attribute: the property costs more on every record
         if dataclasses.is_dataclass(obj):
-            return vars(obj)
+            fields = getattr(obj, "__dict__", None)  # ``vars(obj)``, or None when slotted
+            if fields is None:
+                fields = {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+            return fields
         return super().default(obj)
 
 

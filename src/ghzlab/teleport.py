@@ -23,7 +23,7 @@ conventions by construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -131,13 +131,24 @@ def derive_correction_rule() -> CorrectionRule:
     return CorrectionRule(flips)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeleportTrialRecord:
     pattern: QuestionPattern  # the fields in declaration order are the keys of its JSON line
     bell_outcomes: tuple[BellIndex, BellIndex, BellIndex]
     raw_outcomes: tuple[int, int, int]
     corrected_outcomes: tuple[int, int, int]
     win: bool
+
+
+def _triples(values: tuple) -> dict:
+    """Every triple over ``values``, nested so that ``t[a][b][c] == (a, b, c)``."""
+    return {a: {b: {c: (a, b, c) for c in values} for b in values} for a in values}
+
+
+# Built once and shared by every record, so a kept record costs one slotted
+# object: each outcome indexes one level, and no lookup builds a key.
+_BELL_TRIPLES = _triples(tuple(BellIndex))
+_SIGN_TRIPLES = _triples((1, -1))
 
 
 def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecord:
@@ -149,23 +160,16 @@ def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecor
     """
     rule = derive_correction_rule()
     state = build_setup()
-    bells = []
+    bells = _BELL_TRIPLES
     for s1, s2 in BELL_PAIRS:
         outcome, state = bell_measure(state, s1, s2, rnd)
-        bells.append(outcome)
-    axes = pattern.axes
-    raws = []
-    for j, site in enumerate(REMOTE_SITES):
-        outcome, state = measure_pauli(state, site, axes[j], rnd)
-        raws.append(outcome)
-    corrected = tuple(raws[j] * rule.sign(bells[j], axes[j]) for j in range(3))
-    return TeleportTrialRecord(
-        pattern=pattern,
-        bell_outcomes=tuple(bells),  # type: ignore[arg-type]
-        raw_outcomes=tuple(raws),  # type: ignore[arg-type]
-        corrected_outcomes=corrected,  # type: ignore[arg-type]
-        win=wins(pattern, corrected),
-    )
+        bells = bells[outcome]
+    raws = corrected = _SIGN_TRIPLES
+    for site, axis, bell in zip(REMOTE_SITES, pattern.axes, bells):
+        outcome, state = measure_pauli(state, site, axis, rnd)
+        raws = raws[outcome]
+        corrected = corrected[outcome * rule.sign(bell, axis)]
+    return TeleportTrialRecord(pattern, bells, raws, corrected, wins(pattern, corrected))
 
 
 @dataclass(frozen=True)
@@ -184,24 +188,32 @@ class TeleportSummary:
     bell_histogram: dict[tuple[BellIndex, BellIndex, BellIndex], int]
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
         # JSON keys are strings: "phi_plus,psi_minus,phi_minus", in sorted order
-        data["bell_histogram"] = {
-            ",".join(b.value for b in key): count
-            for key, count in sorted(
-                self.bell_histogram.items(), key=lambda kv: [b.value for b in kv[0]]
-            )
+        histogram = {",".join(b.value for b in key): n for key, n in self.bell_histogram.items()}
+        return {
+            **vars(self),
+            "per_pattern": {name: dict(vars(rates)) for name, rates in self.per_pattern.items()},
+            "bell_histogram": dict(sorted(histogram.items())),
         }
-        return data
 
 
 def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:
     """Aggregate per-pattern success rates and the Bell-outcome histogram."""
     if not records:
         raise ValueError("cannot summarize zero records")
-    trials = Counter(rec.pattern for rec in records)
-    corrected_hits = Counter(rec.pattern for rec in records if rec.win)
-    raw_hits = Counter(rec.pattern for rec in records if wins(rec.pattern, rec.raw_outcomes))
+    # one pass, each record counted once; the two tallies keep at most 128 and
+    # 64 keys, so they add little to the records still held
+    cells: dict = {}
+    histogram: dict = {}  # in the order each triple first occurs
+    for rec in records:
+        cell = rec.pattern, rec.win, rec.raw_outcomes
+        cells[cell] = cells.get(cell, 0) + 1
+        histogram[rec.bell_outcomes] = histogram.get(rec.bell_outcomes, 0) + 1
+    trials, corrected_hits, raw_hits = Counter(), Counter(), Counter()
+    for (pattern, win, raws), n in cells.items():
+        trials[pattern] += n
+        corrected_hits[pattern] += win * n
+        raw_hits[pattern] += wins(pattern, raws) * n
     per_pattern = {
         p.value: PatternRates(
             trials=trials[p],
@@ -217,7 +229,7 @@ def summarize(records: list[TeleportTrialRecord]) -> TeleportSummary:
         per_pattern=per_pattern,
         corrected_success_rate=corrected_hits.total() / total,
         raw_success_rate=raw_hits.total() / total,
-        bell_histogram=dict(Counter(rec.bell_outcomes for rec in records)),
+        bell_histogram=histogram,
     )
 
 

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlab import teleport
+from ghzlab.cli import main
 from ghzlab.game import PATTERNS, TrialStreams
 from ghzlab.qsim import (
     Axis,
@@ -181,6 +186,39 @@ def test_measurement_order_does_not_matter():
             _, (rnd,) = streams.trial(i)
             corrected = reversed_order_trial(pattern, rnd)
             assert corrected[0] * corrected[1] * corrected[2] == pattern.target
+
+
+def test_record_is_slotted_frozen_and_points_into_shared_triples():
+    records = []
+    run_trials(200, 4, records.append)
+    for rec in records:
+        assert not hasattr(rec, "__dict__")
+        b0, b1, b2 = rec.bell_outcomes
+        assert rec.bell_outcomes is teleport._BELL_TRIPLES[b0][b1][b2]
+        for signs in (rec.raw_outcomes, rec.corrected_outcomes):
+            assert signs is teleport._SIGN_TRIPLES[signs[0]][signs[1]][signs[2]]
+    rec = records[0]
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.win = not rec.win
+
+
+def test_kept_record_costs_under_100_bytes(tmp_path):
+    def peak(trials):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert main(["teleport", "--trials", str(trials), "--seed", "3", "--format", "json",
+                         "--out", str(tmp_path / f"out-{trials}")]) == 0
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    # the first run grows the shared branch tree, which both measured runs then only walk
+    assert main(["teleport", "--trials", "4000", "--seed", "3", "--format", "json",
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert (peak(4000) - peak(1000)) / 3000 <= 100
 
 
 def test_summarize_empty_rejected():

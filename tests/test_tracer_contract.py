@@ -12,11 +12,15 @@ were first pinned.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 # Functions the command line hands a record sink; the tracer times the sink.
 RECORD_SINK_TARGETS = {"game.run_experiment", "lhv.lhv_statistics", "teleport.run_trials"}
 
@@ -84,3 +88,21 @@ def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     assert (tmp_path / "traced").read_bytes() == (tmp_path / "plain").read_bytes()
     assert tracer.draws == draws
     assert sum(span[0].startswith(TRACER.COLLAPSES) for span in tracer.spans) == collapses
+
+
+def test_traced_benchmark_run_reports_every_layer():
+    # the whole traced run, as the benchmark starts it: a metric the tracer
+    # cannot compute is written as null, and the run is then not a result
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "game", "--seed", "1",
+         "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in declared:
+        value = result["metrics"][metric["name"]]["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), metric["name"]
