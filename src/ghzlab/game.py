@@ -81,8 +81,9 @@ class DeterministicTable(tuple):  # (x_a, y_a, x_b, y_b, x_c, y_c)
 
     def __new__(cls, x_a, y_a, x_b, y_b, x_c, y_c):
         replies = (x_a, y_a, x_b, y_b, x_c, y_c)
-        if any(r not in (1, -1) and r is not NO_DETECTION for r in replies):
-            raise ValueError(f"table replies must be +1, -1 or NO_DETECTION, got {replies}")
+        # bool and float replies compare equal to 1 and -1, so check the type too
+        if not all(r is NO_DETECTION or (type(r) is int and r in (1, -1)) for r in replies):
+            raise ValueError(f"table replies must be int +1, -1 or NO_DETECTION, got {replies}")
         return super().__new__(cls, replies)
 
     def answer(self, player: int, question: Axis) -> "int | _NoDetection":
@@ -248,47 +249,6 @@ def theoretical_win_rate(eta: float) -> float:
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, used to label trials
 
 
-class _RoleStream:
-    """One role's generator, sought onto the current trial at its first draw.
-
-    ``TrialStreams.trial`` writes the trial index into ``_counter`` and arms
-    the role.  Until its first draw ``random`` and ``integers`` are seeking
-    stand-ins; seeking sets them to the generator's own methods, so every
-    later draw in the trial costs what a plain ``Generator`` draw costs.
-    Any other ``Generator`` attribute is read from the sought generator.
-    """
-
-    __slots__ = ("random", "integers", "_gen", "_state", "_counter", "_armed", "_sought")
-
-    def __init__(self, key: list[int], role: int):
-        self._gen = gen = np.random.Generator(np.random.Philox(key=0))
-        # numpy's Philox state with an exhausted output buffer, in lists where
-        # numpy keeps arrays: its setter reads both, and lists halve its cost
-        self._counter = [0, role, 0, 0]
-        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
-                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._armed = (self._seek_random, self._seek_integers)
-        self._sought = (gen.random, gen.integers)
-        self.random, self.integers = self._armed
-
-    def _seek(self) -> None:
-        self._gen.bit_generator.state = self._state
-        self.random, self.integers = self._sought
-
-    def _seek_random(self, *args, **kwargs):
-        self._seek()
-        return self.random(*args, **kwargs)
-
-    def _seek_integers(self, *args, **kwargs):
-        self._seek()
-        return self.integers(*args, **kwargs)
-
-    def __getattr__(self, name):
-        if self.random == self._seek_random:
-            self._seek()
-        return getattr(self._gen, name)
-
-
 class TrialStreams:
     """Deterministic per-(trial, role) random streams from one master seed.
 
@@ -298,35 +258,39 @@ class TrialStreams:
     stream, which is exactly the independence guarantee a counter-based
     generator provides.  Streams depend only on (master_seed, trial, role),
     never on execution order, so trials may run in any order or in
-    parallel with identical results.  Each role reuses one ``Generator``
-    across trials and seeks its counter onto the current trial only when
-    the trial first draws from that role, so a role a trial never uses
-    costs nothing, and the draws a role does make are the ones an eagerly
-    reset stream would give.
+    parallel with identical results.  Each role keeps one ``Generator``
+    across trials, and moving it onto a trial writes one counter word.
     """
 
     def __init__(self, master_seed: int, n_roles: int):
         if master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
-        self.master_seed = master_seed
         key = [int(k) for k in np.random.SeedSequence(master_seed).generate_state(2, np.uint64)]
         self._key0 = key[0]
-        self._roles = tuple(_RoleStream(key, role) for role in range(n_roles))
+        self._gens = tuple(np.random.Generator(np.random.Philox(key=0)) for _ in range(n_roles))
+        # numpy's Philox state with an exhausted output buffer, in lists where
+        # numpy keeps arrays: its setter reads both, and lists halve its cost
+        self._resets = []
+        for role, gen in enumerate(self._gens):
+            counter = [0, role, 0, 0]
+            state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                     "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            self._resets.append((gen.bit_generator, counter, state))
 
     def trial(self, index: int) -> tuple[int, tuple[RandomSource, ...]]:
-        """Move every role onto trial ``index`` and return (trial_seed, generators).
+        """Reset every role onto trial ``index`` and return (trial_seed, generators).
 
-        Each role seeks onto the trial at its first draw.  ``trial_seed`` is
+        The generators are the same tuple on every call.  ``trial_seed`` is
         the 64-bit label derived from (master_seed, trial index) that is
         recorded with the trial; replaying a trial means rebuilding streams
         from those two numbers.
         """
         if index < 0:
             raise ValueError("trial index must be non-negative")
-        for role in self._roles:
-            role._counter[2] = index  # the only word that differs between trials
-            role.random, role.integers = role._armed
-        return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._roles
+        for bit_generator, counter, state in self._resets:
+            counter[2] = index  # the only word that differs between trials
+            bit_generator.state = state
+        return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._gens
 
 
 _ROLE_REFEREE, _ROLE_SETUP, _ROLE_A, _ROLE_B, _ROLE_C = range(5)

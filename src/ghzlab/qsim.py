@@ -342,11 +342,6 @@ def _draw(rnd: RandomSource, picker: tuple) -> int:
     return last
 
 
-def _pick(rnd: RandomSource, weights: Sequence[float]) -> int:
-    """Index of a branch sampled by the Born rule, skipping numerically dead ones."""
-    return _draw(rnd, _picker(weights))
-
-
 def _kept(state: StateVector, key: tuple, sites: tuple[int, ...]) -> tuple[bool, list | None]:
     """Whether ``state`` is shared with ``sites`` unmeasured, and if so its entry for ``key``."""
     if type(state) is _SharedState and state.measured.isdisjoint(sites):
@@ -445,7 +440,7 @@ def measure_product(
     w_plus = _product_branch(state, obs, 1)
     p_plus = float(np.vdot(w_plus, w_plus).real)
     weights = (p_plus, 1.0 - p_plus)
-    k = _pick(rnd, weights)
+    k = _draw(rnd, _picker(weights))
     w = w_plus if k == 0 else state.amps - w_plus
     return _OUTCOMES[k], StateVector(state.num_sites, w / math.sqrt(weights[k]), copy=False)
 

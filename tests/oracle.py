@@ -457,8 +457,9 @@ def ref_bell_measure(state, s1, s2, rnd):
 # Reference streams and trial loops
 #
 # ``RefTrialStreams`` is the package's per-trial streams as first written:
-# every role is reset onto its trial through numpy's state setter, whether
-# the trial draws from it or not.  The loops below play the quantum team and
+# every role is reset onto its trial through numpy's state setter, with the
+# array-valued state numpy's getter returns where ``TrialStreams`` writes a
+# prepared list-valued one.  The loops below play the quantum team and
 # the generalized-elements check with it and with ``ref_measure_pauli`` on a
 # private copy of the GHZ state, and the teleported game with it and with
 # ``ref_bell_measure`` and ``ref_measure_pauli`` on a private copy of the

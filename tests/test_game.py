@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -78,8 +80,12 @@ def test_play_deterministic_examples():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        DeterministicTable(1, 1, 0, 1, 1, 1)
+    # True == 1 and 1.0 == 1, but a table of them would print and serialize wrongly
+    for bad in (0, True, False, 1.0, -1.0, None):
+        with pytest.raises(ValueError):
+            DeterministicTable(1, 1, bad, 1, 1, 1)
+    replies = (1, -1, NO_DETECTION, 1, -1, 1)
+    assert tuple(DeterministicTable(*replies)) == replies
 
 
 def test_scan_deterministic_ceiling():
@@ -461,7 +467,7 @@ def test_trial_streams_known_answers(seed, role, index, label, floats, integer):
 @example(seed=9, role=4, index=2**31, before=2**31 - 1)
 @example(seed=12345, role=2, index=10**9, before=5)
 def test_trial_streams_match_numpy_public_philox(seed, role, index, before):
-    """The Philox state ``_RoleStream`` writes is the one numpy's public constructor builds."""
+    """The state ``TrialStreams.trial`` writes is the one numpy's public constructor builds."""
     streams = TrialStreams(seed, 5)
     for gen in streams.trial(before)[1]:  # leave another trial's state behind first
         gen.random()
@@ -497,6 +503,20 @@ def test_role_reads_its_generator_state_after_seeking():
     assert role.standard_normal() == ref.standard_normal()
     _, (_, role) = streams.trial(4)  # a role read before its first draw seeks too
     assert state(role) == state(oracle.RefTrialStreams(8, 2).trial(4)[1][1])
+
+
+def test_dropped_streams_are_freed_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for seed in range(8):
+            for gen in TrialStreams(seed, 5).trial(seed)[1]:
+                gen.random()
+        assert gc.collect() == 0  # reference counting alone freed every stream
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from ghzlab.qsim import (
     StateVector,
     _apply_factors,
     _draw,
-    _pick,
     _picker,
     bell_measure,
     bell_project,
@@ -695,7 +694,7 @@ def test_pick_top_draw_lands_in_last_live_branch(weights):
         acc += weights[k]
     # the largest uniform scales strictly below the running sum, so no draw lands past it
     assert oracle.TopDraw().random() * acc < acc
-    assert _pick(oracle.TopDraw(), weights) == live[-1]
+    assert _draw(oracle.TopDraw(), _picker(weights)) == live[-1]
 
 
 @settings(deadline=None, max_examples=200)
