@@ -86,12 +86,9 @@ class _Encoder(json.JSONEncoder):
 
     def default(self, obj):
         if isinstance(obj, Enum):
-            return obj._value_  # ``value``'s attribute: the property costs more on every record
+            return obj.value
         if dataclasses.is_dataclass(obj):
-            fields = getattr(obj, "__dict__", None)  # ``vars(obj)``, or None when slotted
-            if fields is None:
-                fields = {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-            return fields
+            return vars(obj)
         return super().default(obj)
 
 
@@ -109,9 +106,28 @@ def _json_dumps(obj) -> str:
 Document = str | Callable[[TextIO], None] | None
 
 
+# '"name": value' for each (field name, value) a jsonl record has held, encoded
+# once by ``_LINE``: about 100 for the built-in records.  Only built-in teams
+# reach ``_jsonl``, and their replies are exact ints, so no key equals a value
+# that encodes differently, as a True inside a tuple equals 1.
+_FRAGMENTS: dict[tuple[str, object], str] = {}
+
+
+def _record_line(rec) -> str:
+    """``_LINE(rec)`` and a newline, joined from cached field fragments; an exact int is written as is."""
+    parts = []
+    for name in rec.__dataclass_fields__:
+        value = getattr(rec, name)
+        part = f'"{name}": {value}' if type(value) is int else _FRAGMENTS.get((name, value))
+        if part is None:
+            part = _FRAGMENTS[name, value] = _LINE({name: value})[1:-1]
+        parts.append(part)
+    return "{" + ", ".join(parts) + "}\n"
+
+
 def _jsonl(play: Callable) -> Callable[[TextIO], None]:
     """A writer that runs ``play``, writing each trial record as one JSON line when it is produced."""
-    return lambda fh: play(record_sink=lambda rec: fh.write(_LINE(rec) + "\n"))
+    return lambda fh: play(record_sink=lambda rec: fh.write(_record_line(rec)))
 
 
 def _csv(header: Sequence[str], rows: list[Sequence]) -> Callable[[TextIO], None]:

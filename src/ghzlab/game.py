@@ -90,9 +90,9 @@ class DeterministicTable(tuple):  # (x_a, y_a, x_b, y_b, x_c, y_c)
         return self[2 * player + (0 if question is Axis.X else 1)]
 
     def expected_win_rate(self) -> float:
-        """Exact win rate of a table with no silent reply under uniformly drawn patterns."""
-        hits = sum(wins(p, play_deterministic(self, p)) for p in PATTERNS)
-        return hits / len(PATTERNS)
+        """Exact win rate as played against uniform patterns: a silent seat answers a fair coin."""
+        replies = [(p, play_deterministic(self, p)) for p in PATTERNS]
+        return sum(0.5 if NO_DETECTION in r else wins(p, r) for p, r in replies) / len(PATTERNS)
 
     def describe(self) -> str:
         """The replies slot by slot, such as ``A.x=+1 ... C.y=silent``."""
@@ -388,16 +388,7 @@ def _play(
         won = wins(pattern, answers)
         counts[pattern, sum(detections), won] += 1
         if record_sink is not None:
-            record_sink(
-                TrialRecord(
-                    pattern=pattern,
-                    answers=tuple(answers),  # type: ignore[arg-type]
-                    detections=tuple(detections),  # type: ignore[arg-type]
-                    win=won,
-                    trial_index=i,
-                    seed=trial_seed,
-                )
-            )
+            record_sink(TrialRecord(i, trial_seed, pattern, tuple(answers), tuple(detections), won))
     return counts
 
 

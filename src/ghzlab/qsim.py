@@ -141,8 +141,9 @@ class _SharedState(StateVector):
     measured on it to ``[picker, *children]``: the :func:`_picker` of the
     Born weights, then one collapsed branch per outcome, built the first
     time it is drawn and kept; a dead branch stays ``None``.  Only sites not
-    yet ``measured`` on the path from the root lead to shared branches,
-    which bounds the tree; measuring a site again gives a plain state.
+    yet ``measured`` on the path from the root get an entry and shared
+    branches, which bounds the tree, so a memo hit is one lookup; measuring
+    a site again gives a plain state.
     """
 
     __slots__ = ("memo", "measured")
@@ -342,13 +343,6 @@ def _draw(rnd: RandomSource, picker: tuple) -> int:
     return last
 
 
-def _kept(state: StateVector, key: tuple, sites: tuple[int, ...]) -> tuple[bool, list | None]:
-    """Whether ``state`` is shared with ``sites`` unmeasured, and if so its entry for ``key``."""
-    if type(state) is _SharedState and state.measured.isdisjoint(sites):
-        return True, state.memo.get(key)
-    return False, None
-
-
 def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
     """Overlap field <outcome eigenstate|psi> over the remaining sites."""
     if not 0 <= site < n:
@@ -392,9 +386,11 @@ def measure_pauli(
     draw with the same picker and return the same branch.  No other state
     keeps anything.
     """
-    shared, entry = _kept(state, (site, axis), (site,))
+    shared = type(state) is _SharedState
+    entry = state.memo.get((site, axis)) if shared else None
     n = state.num_sites
-    if entry is None:
+    if entry is None:  # only a miss asks whether the site is unmeasured
+        shared = shared and site not in state.measured
         c_plus = _site_overlap(state.amps, n, site, axis, 1)
         p_plus = float(np.vdot(c_plus, c_plus).real)
         entry = [_picker((p_plus, 1.0 - p_plus)), None, None]
@@ -511,8 +507,10 @@ def bell_measure(
     Every branch is weighed, but only the sampled one is collapsed; a shared
     state keeps the picker and each branch, as in :func:`measure_pauli`.
     """
-    shared, entry = _kept(state, (s1, s2), (s1, s2))
-    if entry is None:
+    shared = type(state) is _SharedState
+    entry = state.memo.get((s1, s2)) if shared else None
+    if entry is None:  # only a miss asks whether the pair is unmeasured
+        shared = shared and state.measured.isdisjoint((s1, s2))
         _, overlaps = _bell_overlaps(state, s1, s2, _BELL_ORDER)
         entry = [_picker([float(np.vdot(c, c).real) for c in overlaps]), None, None, None, None]
     k = _draw(rnd, entry[0])

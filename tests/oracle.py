@@ -7,15 +7,20 @@ the two routes is a meaningful check.
 
 The helpers that follow the matrices (amplitude lookup, basis states,
 applying a product, state-based commutation, kit replies, writing and
-parsing parity systems) serve the tests only.  The reference samplers at
-the end are the package's sampling measurements and per-trial streams in
-their earlier, separately written form, kept so that seeded runs of the
-package can be compared with them exactly.
+parsing parity systems) serve the tests only.  The reference samplers
+after them are the package's sampling measurements and per-trial streams
+in their earlier, separately written form, kept so that seeded runs of
+the package can be compared with them exactly.  Last comes the jsonl
+record line encoded whole, which the command line's cached field
+fragments must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -618,3 +623,20 @@ def ref_teleport_records(trials: int, master_seed: int) -> list[TeleportTrialRec
             TeleportTrialRecord(pattern, tuple(bells), tuple(raws), corrected, wins(pattern, corrected))
         )
     return records
+
+
+# ---------------------------------------------------------------------------
+# Reference record encoding
+
+
+def _record_default(obj):
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):  # slotted or not: no ``vars`` on a slotted record
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def ref_record_line(rec) -> str:
+    """A trial record's jsonl line encoded whole: its fields in declaration order, an enum as its value."""
+    return json.dumps(rec, default=_record_default) + "\n"

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ghzlab import cli, game, lhv, teleport
 from ghzlab.cli import PlayStats, main, play_session
 
 import oracle
@@ -120,6 +122,46 @@ def test_game_jsonl_streams_records(capsys):
     assert len(lines) == 50
     assert lines[0]["trial_index"] == 0
     assert set(lines[0]) == {"trial_index", "seed", "pattern", "answers", "detections", "win"}
+
+
+JSONL_PLAYS = ("quantum", "classical-best", "classical-table", "lhv", "random", "teleport")
+
+
+def jsonl_play(which: str, eta: float, table: tuple, trials: int, seed: int):
+    """The ``play`` that ``cmd_game`` or ``cmd_teleport`` hands ``cli._jsonl``."""
+    if which == "lhv":
+        return functools.partial(lhv.lhv_statistics, trials, seed)
+    if which == "teleport":
+        return functools.partial(teleport.run_trials, trials, seed)
+    team = {
+        "quantum": lambda: game.quantum_strategy(eta),
+        "classical-best": lambda: game.TableStrategy(game.scan_deterministic().best_tables[0]),
+        "classical-table": lambda: game.TableStrategy(game.DeterministicTable(*table)),
+        "random": game.RandomStrategy,
+    }[which]()
+    return functools.partial(game.run_experiment, team, trials, seed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(which=st.sampled_from(JSONL_PLAYS), eta=st.sampled_from((1.0, 0.9, 0.7937, 0.5, 0.0)),
+       table=st.tuples(*[st.sampled_from((1, -1))] * 6), trials=st.integers(1, 200),
+       seed=st.integers(0, 2**40))
+def test_record_lines_match_reference_encoder(which, eta, table, trials, seed):
+    play = jsonl_play(which, eta, table, trials, seed)
+    written = io.StringIO()
+    cli._jsonl(play)(written)
+    records = []
+    play(record_sink=records.append)
+    lines = written.getvalue().splitlines(keepends=True)
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):  # line by line: a diff of the whole text is slow
+        assert line == oracle.ref_record_line(rec)
+
+
+def test_record_fragments_stay_few():
+    for which in JSONL_PLAYS:
+        cli._jsonl(jsonl_play(which, 0.5, (1, 1, 1, 1, 1, -1), 3000, 1))(io.StringIO())
+    assert len(cli._FRAGMENTS) <= 104
 
 
 def test_game_text_mentions_bound(capsys):

@@ -537,14 +537,17 @@ def test_generalized_elements_match_reference_loop(trials, seed):
     assert generalized_elements_check(make_ghz(), trials, seed) == oracle.ref_generalized_elements(trials, seed)
 
 
+def tree_nodes(state):
+    """Every state in the tree of shared branches below ``state``, itself included."""
+    yield state
+    for entry in state.memo.values():
+        for branch in entry[1:]:
+            if branch is not None:
+                yield from tree_nodes(branch)
+
+
 def shared_nodes(state) -> int:
-    """States in the tree of shared branches below ``state``, itself included."""
-    return 1 + sum(
-        shared_nodes(branch)
-        for entry in state.memo.values()
-        for branch in entry[1:]
-        if branch is not None
-    )
+    return sum(1 for _ in tree_nodes(state))
 
 
 def test_shared_ghz_tree_stops_growing():

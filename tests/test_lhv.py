@@ -9,6 +9,7 @@ from ghzlab.game import (
     PATTERNS,
     DeterministicTable,
     QuestionPattern,
+    TableStrategy,
     quantum_strategy,
     run_experiment,
 )
@@ -131,6 +132,17 @@ def test_lhv_distinguishable_from_lossy_quantum_team():
     assert low_detection_runs > 0
     report = lhv_statistics(3000, 9)
     assert report.single_detections == 0 and report.null_detections == 0
+
+
+def test_kit_expected_win_rate_is_the_rate_played():
+    # a silent seat answers a fair coin, so each pattern that asks the
+    # silent slot wins half the time and the two others always win
+    n = 1000
+    for k, kit_ in enumerate(enumerate_kits()):
+        team = TableStrategy(kit_)
+        assert team.expected_win_rate() == 0.75
+        report = run_experiment(team, n, 40 + k)
+        assert abs(report.win_rate - 0.75) < oracle.binomial_4sigma(0.75, n)
 
 
 def test_kit_describe_mentions_silence():

@@ -622,6 +622,17 @@ def test_shared_ghz_branch_is_built_once():
     assert again[0][1] is not again[1][1]
 
 
+def test_measured_site_on_shared_node_keeps_nothing():
+    rng = np.random.default_rng(8)
+    _, branch = measure_pauli(make_ghz(), 1, Axis.Y, rng)
+    measure_pauli(branch, 0, Axis.X, rng)  # an unmeasured site: kept
+    stored = {key: list(entry) for key, entry in branch.memo.items()}
+    for axis in Axis:
+        for _ in range(4):
+            assert type(measure_pauli(branch, 1, axis, rng)[1]) is StateVector
+    assert {key: list(entry) for key, entry in branch.memo.items()} == stored
+
+
 @settings(deadline=None, max_examples=60)
 @given(kind=STATE_KINDS, n=st.integers(2, 5), seed=st.integers(0, 2**31 - 1),
        rseed=st.integers(0, 2**31 - 1), data=st.data())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ghzlab import teleport
 from ghzlab.cli import main
-from ghzlab.game import PATTERNS, TrialStreams
+from ghzlab.game import PATTERNS, TrialStreams, quantum_strategy, run_experiment
 from ghzlab.qsim import (
     Axis,
     BellIndex,
@@ -19,6 +19,7 @@ from ghzlab.qsim import (
     bell_project,
     expectation_product,
     joint_distribution,
+    make_ghz,
     measure_pauli,
     pauli_product,
     reduced_density,
@@ -36,7 +37,7 @@ from ghzlab.teleport import (
 )
 
 import oracle
-from test_game import shared_nodes
+from test_game import shared_nodes, tree_nodes
 
 
 def test_setup_shape_and_norm():
@@ -323,6 +324,20 @@ def test_setup_tree_is_bounded_and_stops_growing():
     assert nodes <= 1 + 4 + 16 + 64 + 256 + 1024 + 1024
     run_trials(10_000, 6)
     assert shared_nodes(build_setup()) == nodes
+
+
+def test_memo_keys_name_only_unmeasured_sites():
+    # measure_pauli and bell_measure skip the unmeasured check on a memo hit;
+    # this invariant of both trees is what makes that safe
+    run_experiment(quantum_strategy(0.7), 3000, 31)
+    run_trials(3000, 32)
+    for root in (make_ghz(), build_setup()):
+        for node in tree_nodes(root):
+            for key, entry in node.memo.items():
+                sites = key[:1] if isinstance(key[1], Axis) else key
+                assert node.measured.isdisjoint(sites), (node.measured, key)
+                for branch in entry[1:]:
+                    assert branch is None or branch.measured == node.measured.union(sites)
 
 
 @pytest.mark.parametrize("s1, s2", [(1, 1), (0, 9), (-1, 3)])

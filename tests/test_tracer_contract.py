@@ -59,6 +59,8 @@ TRACED_COMMANDS = (
     (("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "200", "--seed", "5",
       "--format", "jsonl"), 1249, 540),
     (("game", "--strategy", "lhv", "--trials", "200", "--seed", "5", "--format", "json"), 501, 0),
+    # records with silent seats through the wrapped record sink
+    (("game", "--strategy", "lhv", "--trials", "200", "--seed", "5", "--format", "jsonl"), 501, 0),
     # a table team draws only the referee's pattern: its setup draws nothing
     (("game", "--strategy", "classical-best", "--trials", "200", "--seed", "5", "--format", "json"),
      200, 0),
@@ -71,9 +73,9 @@ TRACED_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv, draws, collapses", TRACED_COMMANDS,
-                         ids=["game-quantum-eta-jsonl", "game-lhv-json", "game-classical-best-json",
-                              "game-random-json", "teleport-json", "teleport-jsonl",
-                              "sweep-json"])
+                         ids=["game-quantum-eta-jsonl", "game-lhv-json", "game-lhv-jsonl",
+                              "game-classical-best-json", "game-random-json", "teleport-json",
+                              "teleport-jsonl", "sweep-json"])
 def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     from ghzlab.cli import main
 
