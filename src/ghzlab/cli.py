@@ -19,10 +19,8 @@ import sys
 from enum import Enum
 from typing import Callable, Iterator, Sequence, TextIO
 
-import numpy as np
-
-from . import game, lhv, parity, prepost, teleport
-from .game import PATTERNS
+from . import parity
+from .rules import PATTERNS
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 0
@@ -145,7 +143,9 @@ def _csv(header: Sequence[str], rows: list[Sequence]) -> Callable[[TextIO], None
 # game
 
 
-def _make_strategy(args) -> game.Strategy:
+def _make_strategy(args):
+    from . import game
+
     name = args.strategy
     if name == "quantum":
         return game.quantum_strategy(args.eta)
@@ -205,6 +205,8 @@ def _lhv_text(report) -> str:
 
 
 def cmd_game(args) -> Document:
+    from . import game, lhv
+
     if args.table and args.strategy != "classical-table":
         raise CliError("--table applies only to --strategy classical-table")
     if args.eta != 1.0 and args.strategy != "quantum":
@@ -227,6 +229,10 @@ def cmd_game(args) -> Document:
 
 
 def cmd_sweep(args) -> Document:
+    import numpy as np
+
+    from . import game
+
     grid = args.grid
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise CliError("grid values must lie in [0, 1]")
@@ -287,10 +293,7 @@ def cmd_prove(args) -> Document:
             system = parity.build_stapp_system(signs)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    result = parity.solve_gf2(system)
-    enum_result = parity.solve_enumerate(system)
-    if result.satisfiable != enum_result.satisfiable:  # pragma: no cover
-        raise RuntimeError("solver disagreement between GF(2) and enumeration")
+    result = parity.solve_enumerate(system)
     drops = parity.drop_one_analysis(system)
     _check_answer(system, result)
     for k, dropped in drops.items():
@@ -311,6 +314,8 @@ def cmd_prove(args) -> Document:
 
 
 def cmd_teleport(args) -> Document:
+    from . import teleport
+
     rule = teleport.derive_correction_rule()
     play = functools.partial(teleport.run_trials, args.trials, args.seed)
     if args.format == "jsonl":
@@ -353,6 +358,8 @@ def cmd_teleport(args) -> Document:
 
 
 def cmd_elements(args) -> Document:
+    from . import prepost
+
     signs = [_parse_sign(s) for s in args.signs]
     if signs[0] * signs[1] * signs[2] != -1:
         raise CliError(
@@ -411,38 +418,6 @@ class PlayStats:
         return lines
 
 
-class _TerminalSeat(game.QuantumStrategy):
-    """A quantum team whose seat 0 asks the terminal to measure or to answer +1 / -1.
-
-    ``mode`` says which that seat did last.  Quitting raises ``EOFError``,
-    as end of input does, and so ends the run.
-    """
-
-    def __init__(self, input_fn: Callable[[str], str], print_fn: Callable[[str], None]):
-        super().__init__()
-        self.input_fn, self.print_fn = input_fn, print_fn
-        self.stats = PlayStats()
-        self.mode = "measured"
-
-    def answer(self, shared, site, question, rnd):
-        if site:
-            return super().answer(shared, site, question, rnd)
-        self.print_fn(f"round {self.stats.rounds + 1}: your question is {question.value.upper()}")
-        while True:
-            token = self.input_fn("[m]easure your particle, answer +1 / -1, or [q]uit: ").strip().lower()
-            if token in ("m", "measure"):
-                self.mode = "measured"
-                reply, shared = super().answer(shared, site, question, rnd)
-                self.print_fn(f"your particle reads {reply:+d}")
-                return reply, shared
-            if token in ("+1", "1", "-1"):
-                self.mode = "chosen"
-                return (-1 if token == "-1" else 1), shared
-            if token in ("q", "quit"):
-                raise EOFError
-            self.print_fn("please type m, +1, -1, or q")
-
-
 def play_session(
     master_seed: int, input_fn: Callable[[str], str], print_fn: Callable[[str], None]
 ) -> PlayStats:
@@ -452,10 +427,41 @@ def play_session(
     or -1 outright or by measuring the simulated particle; teammates B and
     C always measure theirs.  Rounds are ``game.run_experiment`` trials.
     """
-    team = _TerminalSeat(input_fn, print_fn)
+    from . import game
+
+    stats = PlayStats()
+
+    class TerminalSeat(game.QuantumStrategy):
+        """A quantum team whose seat 0 asks the terminal to measure or to answer +1 / -1.
+
+        ``mode`` says which that seat did last.  Quitting raises ``EOFError``,
+        as end of input does, and so ends the run.
+        """
+
+        mode = "measured"
+
+        def answer(self, shared, site, question, rnd):
+            if site:
+                return super().answer(shared, site, question, rnd)
+            print_fn(f"round {stats.rounds + 1}: your question is {question.value.upper()}")
+            while True:
+                token = input_fn("[m]easure your particle, answer +1 / -1, or [q]uit: ").strip().lower()
+                if token in ("m", "measure"):
+                    self.mode = "measured"
+                    reply, shared = super().answer(shared, site, question, rnd)
+                    print_fn(f"your particle reads {reply:+d}")
+                    return reply, shared
+                if token in ("+1", "1", "-1"):
+                    self.mode = "chosen"
+                    return (-1 if token == "-1" else 1), shared
+                if token in ("q", "quit"):
+                    raise EOFError
+                print_fn("please type m, +1, -1, or q")
+
+    team = TerminalSeat()
 
     def show(rec: game.TrialRecord) -> None:
-        team.stats.record(team.mode, rec.win)
+        stats.record(team.mode, rec.win)
         a, b, c = rec.answers
         print_fn(
             f"pattern was {rec.pattern.value}; answers {a:+d} {b:+d} {c:+d} "
@@ -467,9 +473,9 @@ def play_session(
     print_fn("win condition: answer product -1 for pattern XXX, +1 otherwise.")
     with contextlib.suppress(EOFError):
         game.run_experiment(team, sys.maxsize, master_seed, record_sink=show)
-    for line in team.stats.summary_lines():
+    for line in stats.summary_lines():
         print_fn(line)
-    return team.stats
+    return stats
 
 
 def cmd_play(args) -> Document:

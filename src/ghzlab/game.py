@@ -1,9 +1,7 @@
 """The three-player parity game: referee, strategies, and experiment harness.
 
-Each round the referee asks every player one of two questions, X or Y,
-drawn from the four legal patterns XXX, XYY, YXY, YYX.  Players answer
-+1 or -1 without communicating.  The team wins when the product of the
-answers is -1 for the XXX pattern and +1 for the other three patterns.
+The rules themselves (the question patterns and the referee's predicate
+``wins``) are defined in ``ghzlab.rules`` and re-exported here.
 
 Players are isolated by construction: a strategy is one answer rule, which
 the harness asks once per seat with only that seat's question and random
@@ -17,30 +15,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .qsim import Axis, RandomSource, StateVector, make_ghz, measure_pauli
-
-
-class QuestionPattern(Enum):
-    """One of the four legal question assignments to players (A, B, C)."""
-
-    XXX = "XXX"
-    XYY = "XYY"
-    YXY = "YXY"
-    YYX = "YYX"
-
-    __hash__ = object.__hash__
-
-    def __init__(self, value: str):
-        self.axes: tuple[Axis, ...] = tuple(Axis(c.lower()) for c in value)
-        self.target = -1 if value == "XXX" else 1  # the answer product that wins
-
-
-PATTERNS: tuple[QuestionPattern, ...] = tuple(QuestionPattern)
+from .qsim import RandomSource, StateVector, make_ghz, measure_pauli
+from .rules import PATTERNS, Axis, QuestionPattern, wins
 
 
 class _NoDetection:
@@ -58,12 +38,6 @@ NO_DETECTION = _NoDetection()
 def draw_pattern(rnd: RandomSource) -> QuestionPattern:
     """Draw a question pattern uniformly."""
     return PATTERNS[int(rnd.random() * 4) & 3]
-
-
-def wins(pattern: QuestionPattern, answers: Sequence[int]) -> bool:
-    """Referee predicate: does the answer product hit the pattern's target?"""
-    a, b, c = answers
-    return a * b * c == pattern.target
 
 
 # ---------------------------------------------------------------------------

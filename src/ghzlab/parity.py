@@ -22,12 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .game import PATTERNS
+from .rules import PATTERNS
 
 MAX_ENUM_VARIABLES = 24
-_ENUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,9 @@ class ParityConstraint:
     def __post_init__(self):
         if not self.vars:
             raise ValueError("a constraint needs at least one variable")
-        if self.target not in (1, -1):
-            raise ValueError(f"target must be +1 or -1, got {self.target}")
+        # True and 1.0 compare equal to 1, so check the type too
+        if type(self.target) is not int or self.target not in (1, -1):
+            raise ValueError(f"target must be int +1 or -1, got {self.target!r}")
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         product = 1
@@ -158,30 +156,22 @@ def solve_enumerate(system: ParitySystem) -> "Sat | Unsat":
     if n > MAX_ENUM_VARIABLES:
         raise ValueError(f"enumeration is capped at {MAX_ENUM_VARIABLES} variables, got {n}")
     masks, tbits = _constraint_rows(system)
-    # bit (n-1-j) of the scan word holds variable j, so ascending words
-    # enumerate assignments in lexicographic order with +1 first
-    scan_masks = np.array(
-        [
-            sum(1 << (n - 1 - j) for j in range(n) if (mask >> j) & 1)
-            for mask in masks
-        ],
-        dtype=np.uint32,
-    )
-    scan_tbits = np.array(tbits, dtype=np.uint32)
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        words = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        ok = np.ones(words.shape, dtype=bool)
-        for mask, tbit in zip(scan_masks, scan_tbits):
-            ok &= (np.bitwise_count(words & mask) & 1) == tbit
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            word = int(words[hit[0]])
-            assignment = {
-                name: (-1 if (word >> (n - 1 - j)) & 1 else 1)
-                for j, name in enumerate(system.variables)
-            }
-            return Sat(assignment)
+    # bit (n-1-j) of scan word w holds variable j, so ascending words
+    # enumerate assignments in lexicographic order with +1 first; bit w of
+    # ``ok`` stands for word w, and stays set while w satisfies every constraint
+    ok = (1 << (1 << n)) - 1
+    for mask, tbit in zip(masks, tbits):
+        odd, size = 0, 1  # words below ``size`` whose masked bits have odd parity
+        for j in reversed(range(n)):  # scan bit n-1-j, lowest first, doubles the words
+            odd |= (odd ^ ((1 << size) - 1) if (mask >> j) & 1 else odd) << size
+            size <<= 1
+        ok &= odd if tbit else ~odd
+    if ok:
+        word = (ok & -ok).bit_length() - 1
+        return Sat({
+            name: (-1 if (word >> (n - 1 - j)) & 1 else 1)
+            for j, name in enumerate(system.variables)
+        })
     result = solve_gf2(system)
     if not isinstance(result, Unsat):  # pragma: no cover - solver disagreement
         raise RuntimeError("enumeration found no assignment but GF(2) claims Sat")
@@ -237,8 +227,8 @@ def build_stapp_system(actual_x: Sequence[int]) -> ParitySystem:
     agree across the two worlds that measure it.
     """
     ea, eb, ec = actual_x
-    if any(e not in (1, -1) for e in (ea, eb, ec)):
-        raise ValueError(f"outcomes must be +1 or -1, got {tuple(actual_x)}")
+    if any(type(e) is not int or e not in (1, -1) for e in (ea, eb, ec)):
+        raise ValueError(f"outcomes must be int +1 or -1, got {tuple(actual_x)}")
     if ea * eb * ec != -1:
         raise ValueError(
             "actual x outcomes must multiply to -1; "

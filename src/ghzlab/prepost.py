@@ -70,8 +70,8 @@ class PrePostEnsemble:
         for site, axis, outcome in self.post:
             if not 0 <= site < self.pre.num_sites:
                 raise ValueError(f"post site {site} out of range")
-            if outcome not in (1, -1):
-                raise ValueError(f"post outcome must be +1 or -1, got {outcome}")
+            if type(outcome) is not int or outcome not in (1, -1):
+                raise ValueError(f"post outcome must be int +1 or -1, got {outcome!r}")
         if self.post_probability() <= MIN_BRANCH_PROB:
             raise PostselectionError(
                 "the requested final results have zero probability from this preparation"

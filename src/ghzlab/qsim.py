@@ -29,6 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .rules import Axis
+
 # Hard cap on dense representation size: 2**12 = 4096 amplitudes.
 MAX_SITES = 12
 
@@ -42,16 +44,6 @@ MIN_BRANCH_PROB = ATOL_EXACT
 RandomSource = np.random.Generator
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-class Axis(Enum):
-    """A spin measurement axis with outcomes +1 and -1."""
-
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-    __hash__ = object.__hash__
 
 
 class BellIndex(Enum):

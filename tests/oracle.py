@@ -7,7 +7,8 @@ the two routes is a meaningful check.
 
 The helpers that follow the matrices (amplitude lookup, basis states,
 applying a product, state-based commutation, kit replies, writing and
-parsing parity systems) serve the tests only.  The reference samplers
+parsing parity systems) serve the tests only, as does the exhaustive parity
+scan in its earlier numpy form.  The reference samplers
 after them are the package's sampling measurements and per-trial streams
 in their earlier, separately written form, kept so that seeded runs of
 the package can be compared with them exactly.  Last comes the jsonl
@@ -27,7 +28,14 @@ import numpy as np
 
 from ghzlab.game import _GOLDEN_GAMMA, NO_DETECTION, PATTERNS, ExperimentReport, draw_pattern, wins
 from ghzlab.lhv import LhvReport, enumerate_kits, kit_is_admissible
-from ghzlab.parity import ParityConstraint, ParitySystem
+from ghzlab.parity import (
+    MAX_ENUM_VARIABLES,
+    ParityConstraint,
+    ParitySystem,
+    Sat,
+    _constraint_rows,
+    solve_gf2,
+)
 from ghzlab.prepost import GeneralizedElementsReport, PatternCheck
 from ghzlab.qsim import (
     MIN_BRANCH_PROB,
@@ -305,6 +313,40 @@ def parse_system(text: str) -> ParitySystem:
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     return ParitySystem(tuple(variables), tuple(constraints))
+
+
+def ref_solve_enumerate(system: ParitySystem):
+    """``parity.solve_enumerate`` as a chunked numpy scan over the words of the assignments.
+
+    Bit (n-1-j) of a scan word holds variable j, so ascending words run
+    through the assignments in lexicographic order with +1 first.  The first
+    word whose masked bits have the target parity under every constraint is
+    the answer; with none, the certificate comes from ``solve_gf2``.
+    """
+    n = len(system.variables)
+    if n > MAX_ENUM_VARIABLES:
+        raise ValueError(f"enumeration is capped at {MAX_ENUM_VARIABLES} variables, got {n}")
+    masks, tbits = _constraint_rows(system)
+    scan_masks = np.array(
+        [sum(1 << (n - 1 - j) for j in range(n) if (mask >> j) & 1) for mask in masks],
+        dtype=np.uint32,
+    )
+    scan_tbits = np.array(tbits, dtype=np.uint32)
+    total = 1 << n
+    chunk = 1 << 16
+    for start in range(0, total, chunk):
+        words = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        ok = np.ones(words.shape, dtype=bool)
+        for mask, tbit in zip(scan_masks, scan_tbits):
+            ok &= (np.bitwise_count(words & mask) & 1) == tbit
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            word = int(words[hit[0]])
+            return Sat({
+                name: (-1 if (word >> (n - 1 - j)) & 1 else 1)
+                for j, name in enumerate(system.variables)
+            })
+    return solve_gf2(system)
 
 
 # ---------------------------------------------------------------------------

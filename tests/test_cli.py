@@ -578,12 +578,10 @@ def test_fuzzed_argv_exits_cleanly(command, tokens):
 
 
 def test_internal_errors_exit_two(capsys, monkeypatch):
-    import ghzlab.cli as cli_module
-
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli_module.game, "run_experiment", boom)
+    monkeypatch.setattr(game, "run_experiment", boom)
     code, _, err = run_cli(capsys, "game", "--trials", "10")
     assert code == 2
     assert "internal error" in err

@@ -40,6 +40,13 @@ def test_constraint_validation():
         ParityConstraint(("x",), 0)
 
 
+def test_constraint_target_must_be_an_exact_int():
+    # True and 1.0 compare equal to 1 but would reach the proof text and JSON as is
+    for target in (True, False, 1.0, -1.0):
+        with pytest.raises(ValueError, match="int"):
+            ParityConstraint(("x",), target)
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         system(["x", "x"], [])
@@ -189,6 +196,12 @@ def test_stapp_rejects_inconsistent_actual_outcomes():
         build_stapp_system((1, 0, -1))
 
 
+def test_stapp_rejects_outcomes_that_are_not_exact_ints():
+    for triple in ((1.0, 1, -1), (True, True, -1), (1, 1, -1.0)):
+        with pytest.raises(ValueError, match="int"):
+            build_stapp_system(triple)
+
+
 def test_stapp_drop_one_all_sat():
     drops = drop_one_analysis(build_stapp_system((1, 1, -1)))
     assert len(drops) == 6
@@ -206,8 +219,8 @@ def test_drop_one_preserves_sat():
 
 
 @st.composite
-def random_systems(draw):
-    n_vars = draw(st.integers(1, 10))
+def random_systems(draw, max_vars=10):
+    n_vars = draw(st.integers(1, max_vars))
     names = tuple(f"v{i}" for i in range(n_vars))
     n_cons = draw(st.integers(0, 12))
     cons = []
@@ -230,6 +243,21 @@ def test_solvers_agree(sys_):
     else:
         assert verify_certificate(sys_, r_enum.certificate)
         assert verify_certificate(sys_, r_gf2.certificate)
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_systems(max_vars=12))
+def test_enumerate_matches_the_numpy_scan(sys_):
+    assert solve_enumerate(sys_) == oracle.ref_solve_enumerate(sys_)
+
+
+def test_enumerate_matches_the_numpy_scan_at_the_variable_cap():
+    names = [f"v{i}" for i in range(24)]
+    ring = system(names, [((a, b), 1) for a, b in zip(names, names[1:])] + [((names[-1], names[0]), -1)])
+    assert solve_enumerate(ring) == oracle.ref_solve_enumerate(ring) == solve_gf2(ring)
+    # every variable at -1 is the scan's last word
+    last = system(names, [((name,), -1) for name in names])
+    assert solve_enumerate(last) == oracle.ref_solve_enumerate(last) == Sat(dict.fromkeys(names, -1))
 
 
 def test_enumerate_prefers_plus_one():

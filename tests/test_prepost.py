@@ -39,6 +39,13 @@ def test_ensemble_rejects_unreachable_postselection():
         ghz_x_ensemble((-1, -1, 1))
 
 
+def test_ensemble_rejects_post_outcomes_that_are_not_exact_ints():
+    # 1.0 and True compare equal to 1 but would reach the text report as non-ints
+    for triple in ((1.0, 1, -1), (1, 1, -1.0), (True, True, -1)):
+        with pytest.raises(ValueError, match="int"):
+            ghz_x_ensemble(triple)
+
+
 def test_ensemble_rejects_repeated_sites():
     with pytest.raises(ValueError):
         PrePostEnsemble(make_ghz(), ((0, Axis.X, 1), (0, Axis.X, 1)))

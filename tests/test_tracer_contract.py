@@ -80,6 +80,9 @@ def test_traced_command_matches_untraced(tmp_path, argv, draws, collapses):
     from ghzlab.cli import main
 
     assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    # the tracer wraps only modules already imported, and commands import theirs on use
+    for path, _, _ in TARGETS:
+        importlib.import_module(f"ghzlab.{path.split('.')[0]}")
     tracer = TRACER.Tracer()
     tracer.install()
     try:
