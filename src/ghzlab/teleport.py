@@ -60,6 +60,7 @@ def build_setup() -> StateVector:
 
     States are immutable, so the instance is cached and shared, and so are
     the branches a :func:`run_trial` collapses it to: 2389 states, 19 MiB.
+    Beside them sit at most 1024 shared records, one per branch path.
     """
     ghz = make_ghz().amps
     singlet = make_singlet().amps
@@ -145,10 +146,25 @@ def _triples(values: tuple) -> dict:
     return {a: {b: {c: (a, b, c) for c in values} for b in values} for a in values}
 
 
-# Built once and shared by every record, so a kept record costs one slotted
-# object: each outcome indexes one level, and no lookup builds a key.
+# Built once and shared by every record, so a record holds no triple of its
+# own: each outcome indexes one level, and no lookup builds a key.
 _BELL_TRIPLES = _triples(tuple(BellIndex))
 _SIGN_TRIPLES = _triples((1, -1))
+
+
+@lru_cache(maxsize=None)
+def _record(pattern: QuestionPattern, bells: tuple, raws: tuple) -> TeleportTrialRecord:
+    """The one record of a branch path, shared by every trial that takes it.
+
+    A path fixes the corrected triple and the verdict, and at most 4 patterns
+    x 64 Bell triples x 4 raw triples are reachable, so a kept trial costs
+    one pointer.
+    """
+    rule = derive_correction_rule()
+    corrected = _SIGN_TRIPLES
+    for raw, bell, axis in zip(raws, bells, pattern.axes):
+        corrected = corrected[raw * rule.sign(bell, axis)]
+    return TeleportTrialRecord(pattern, bells, raws, corrected, wins(pattern, corrected))
 
 
 def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecord:
@@ -158,18 +174,16 @@ def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecor
     used here is statistically irrelevant.  Corrections touch only the
     recorded numbers, never the state.
     """
-    rule = derive_correction_rule()
     state = build_setup()
     bells = _BELL_TRIPLES
     for s1, s2 in BELL_PAIRS:
         outcome, state = bell_measure(state, s1, s2, rnd)
         bells = bells[outcome]
-    raws = corrected = _SIGN_TRIPLES
-    for site, axis, bell in zip(REMOTE_SITES, pattern.axes, bells):
+    raws = _SIGN_TRIPLES
+    for site, axis in zip(REMOTE_SITES, pattern.axes):
         outcome, state = measure_pauli(state, site, axis, rnd)
         raws = raws[outcome]
-        corrected = corrected[outcome * rule.sign(bell, axis)]
-    return TeleportTrialRecord(pattern, bells, raws, corrected, wins(pattern, corrected))
+    return _record(pattern, bells, raws)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ parsing parity systems) serve the tests only, as does the exhaustive parity
 scan in its earlier numpy form.  The reference samplers
 after them are the package's sampling measurements and per-trial streams
 in their earlier, separately written form, kept so that seeded runs of
-the package can be compared with them exactly.  Last comes the jsonl
+the package can be compared with them exactly, and the shared branch
+trees built whole with uniforms at every cut.  Last comes the jsonl
 record line encoded whole, which the command line's cached field
 fragments must reproduce byte for byte.
 """
@@ -19,6 +20,7 @@ fragments must reproduce byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from enum import Enum
@@ -43,7 +45,9 @@ from ghzlab.qsim import (
     BellIndex,
     ProductObservable,
     StateVector,
+    bell_measure,
     make_ghz,
+    measure_pauli,
 )
 from ghzlab.teleport import (
     BELL_PAIRS,
@@ -501,6 +505,81 @@ def ref_bell_measure(state, s1, s2, rnd):
 
 
 # ---------------------------------------------------------------------------
+# The shared branch trees, and uniforms at every cut of their pickers
+#
+# A draw lands within a few ulps of a cut with a chance near 1e-15, so seeds
+# never test how a pick resolves there; these helpers reach every cut of the
+# two finite trees the commands walk.
+
+
+class FixedDraw:
+    """A random source whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def tree_nodes(state):
+    """Every state in the tree of shared branches below ``state``, itself included."""
+    yield state
+    for entry in state.memo.values():
+        for branch in entry[1:]:
+            if branch is not None:
+                yield from tree_nodes(branch)
+
+
+def boundary_uniforms(picker) -> list[float]:
+    """0, the largest uniform below 1, and each cut over the picker's total with
+    its neighbours one and two ulps away, all in [0, 1)."""
+    total, cuts, _, _ = picker
+    uniforms = [0.0, 1.0 - 2.0**-53]
+    for acc, _ in cuts:
+        below = above = acc / total
+        uniforms.append(below)
+        for _ in range(2):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            uniforms += [below, above]
+    return [u for u in uniforms if 0.0 <= u < 1.0]
+
+
+def _grow(state, steps) -> None:
+    """Build every live branch of ``state`` along ``steps``: a measure and its site arguments each."""
+    if not steps:
+        return
+    (measure, *args), rest = steps[0], steps[1:]
+    measure(state, *args, FixedDraw(0.0))  # prepares the picker
+    entry = state.memo[tuple(args)]
+    for u in boundary_uniforms(entry[0]):  # between them they take every live branch
+        measure(state, *args, FixedDraw(u))
+    for branch in entry[1:]:
+        if branch is not None:
+            _grow(branch, rest)
+
+
+def tree_pickers() -> list[tuple]:
+    """Every Born picker of the GHZ and nine-site trees, with every branch the commands reach built.
+
+    The game measures the detected sites of a pattern in site order, and
+    teleport the three Bell pairs, then the remote sites on the pattern's axes.
+    """
+    for pattern in PATTERNS:
+        for n in (1, 2, 3):
+            for sites in itertools.combinations(range(3), n):
+                _grow(make_ghz(), [(measure_pauli, site, pattern.axes[site]) for site in sites])
+        bells = [(bell_measure, *pair) for pair in BELL_PAIRS]
+        _grow(build_setup(), bells + [(measure_pauli, *step) for step in zip(REMOTE_SITES, pattern.axes)])
+    return [
+        entry[0]
+        for root in (make_ghz(), build_setup())
+        for node in tree_nodes(root)
+        for entry in node.memo.values()
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Reference streams and trial loops
 #
 # ``RefTrialStreams`` is the package's per-trial streams as first written:
@@ -644,9 +723,15 @@ def ref_generalized_elements(trials: int, master_seed: int) -> GeneralizedElemen
     return GeneralizedElementsReport(tuple(checks))
 
 
+def ref_teleport_record(pattern, bells, raws) -> TeleportTrialRecord:
+    """The record of one trial from its pattern, Bell outcomes and raw remote outcomes."""
+    rule = derive_correction_rule()
+    corrected = tuple(r * rule.sign(b, a) for r, b, a in zip(raws, bells, pattern.axes))
+    return TeleportTrialRecord(pattern, tuple(bells), tuple(raws), corrected, wins(pattern, corrected))
+
+
 def ref_teleport_records(trials: int, master_seed: int) -> list[TeleportTrialRecord]:
     """The records of ``teleport.run_trials``, played trial by trial on a plain nine-site state."""
-    rule = derive_correction_rule()
     setup = StateVector(9, build_setup().amps)
     streams = RefTrialStreams(master_seed, 2)
     records = []
@@ -660,10 +745,7 @@ def ref_teleport_records(trials: int, master_seed: int) -> list[TeleportTrialRec
         for site, axis in zip(REMOTE_SITES, pattern.axes):
             outcome, state = ref_measure_pauli(state, site, axis, lab)
             raws.append(outcome)
-        corrected = tuple(r * rule.sign(b, a) for r, b, a in zip(raws, bells, pattern.axes))
-        records.append(
-            TeleportTrialRecord(pattern, tuple(bells), tuple(raws), corrected, wins(pattern, corrected))
-        )
+        records.append(ref_teleport_record(pattern, bells, raws))
     return records
 
 

@@ -484,6 +484,17 @@ KNOWN_OUTPUTS = [
         id="teleport-1024-jsonl",
     ),
     pytest.param(
+        ("teleport", "--trials", "128", "--seed", "12345"),
+        "59d6030ae349652f963f7b86a25f139b54a8913533934ac235ad10668e3729e4",
+        id="teleport-text",
+    ),
+    # these trials take 1019 of the 1024 branch paths, so almost every shared record is made
+    pytest.param(
+        ("teleport", "--trials", "5000", "--seed", "12345", "--format", "json"),
+        "69c5a9430b27166df505c8fe6ec530851b051c4c0a4b6ae094575f1638800a28",
+        id="teleport-5000-json",
+    ),
+    pytest.param(
         ("elements", "1", "1", "-1", "--format", "json"),
         "30920bcc1712cf43dc3977da3b9eae004b91c411847ff79a5949ef0d827798c1",
         id="elements-json",

@@ -537,17 +537,8 @@ def test_generalized_elements_match_reference_loop(trials, seed):
     assert generalized_elements_check(make_ghz(), trials, seed) == oracle.ref_generalized_elements(trials, seed)
 
 
-def tree_nodes(state):
-    """Every state in the tree of shared branches below ``state``, itself included."""
-    yield state
-    for entry in state.memo.values():
-        for branch in entry[1:]:
-            if branch is not None:
-                yield from tree_nodes(branch)
-
-
 def shared_nodes(state) -> int:
-    return sum(1 for _ in tree_nodes(state))
+    return sum(1 for _ in oracle.tree_nodes(state))
 
 
 def test_shared_ghz_tree_stops_growing():

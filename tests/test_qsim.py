@@ -727,6 +727,15 @@ def test_prepared_picker_equals_running_sum_pick(weights, seed):
     assert got.bit_generator.state == want.bit_generator.state
 
 
+def test_draw_equals_running_sum_pick_at_every_cut_of_both_trees():
+    pickers = oracle.tree_pickers()
+    assert len(pickers) >= 1731  # 46 in the GHZ tree, 1685 in the nine-site tree
+    for picker in pickers:
+        for u in oracle.boundary_uniforms(picker):
+            got = _draw(oracle.FixedDraw(u), picker)
+            assert got == oracle.ref_pick(oracle.FixedDraw(u), picker[3]), (u, picker)
+
+
 @settings(deadline=None, max_examples=150)
 @given(kind=STATE_KINDS, n=st.integers(1, 7), seed=st.integers(0, 2**31 - 1), data=st.data())
 def test_reduced_density_equals_index_construction(kind, n, seed, data):

@@ -37,7 +37,7 @@ from ghzlab.teleport import (
 )
 
 import oracle
-from test_game import shared_nodes, tree_nodes
+from test_game import shared_nodes
 
 
 def test_setup_shape_and_norm():
@@ -222,6 +222,39 @@ def test_kept_record_costs_under_100_bytes(tmp_path):
     assert (peak(4000) - peak(1000)) / 3000 <= 100
 
 
+def test_kept_record_costs_one_pointer(tmp_path):
+    def peak(trials):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert main(["teleport", "--trials", str(trials), "--seed", "3", "--format", "json",
+                         "--out", str(tmp_path / f"out-{trials}")]) == 0
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    # the first run grows the branch tree and the shared records, which both
+    # measured runs, on the same seed, then only look up
+    assert main(["teleport", "--trials", "8000", "--seed", "3", "--format", "json",
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert (peak(8000) - peak(1000)) / 7000 <= 16
+
+
+def test_one_shared_record_per_branch_path():
+    teleport._record.cache_clear()
+    by_path = {}
+    for seed in (8, 9):
+        records = []
+        run_trials(20_000, seed, records.append)
+        for rec in records:
+            assert by_path.setdefault((rec.pattern, rec.bell_outcomes, rec.raw_outcomes), rec) is rec
+    # 4 patterns x 64 Bell triples x the 4 raw triples of the right parity
+    assert len(by_path) == teleport._record.cache_info().currsize <= 1024
+    for path, rec in by_path.items():
+        assert rec == oracle.ref_teleport_record(*path)
+
+
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize([])
@@ -332,7 +365,7 @@ def test_memo_keys_name_only_unmeasured_sites():
     run_experiment(quantum_strategy(0.7), 3000, 31)
     run_trials(3000, 32)
     for root in (make_ghz(), build_setup()):
-        for node in tree_nodes(root):
+        for node in oracle.tree_nodes(root):
             for key, entry in node.memo.items():
                 sites = key[:1] if isinstance(key[1], Axis) else key
                 assert node.measured.isdisjoint(sites), (node.measured, key)
