@@ -79,24 +79,94 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
-class _Encoder(json.JSONEncoder):
-    """JSON that writes an ``Enum`` as its value and a dataclass as its fields, in declaration order."""
+def _plain(obj):
+    """An ``Enum`` as its value and a dataclass as its fields, in declaration order, for JSON."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
-    def default(self, obj):
-        if isinstance(obj, Enum):
-            return obj.value
-        if dataclasses.is_dataclass(obj):
-            return vars(obj)
-        return super().default(obj)
+
+class _Encoder(json.JSONEncoder):
+    """JSON that writes what :func:`_plain` gives for any type ``json`` does not know."""
+
+    default = staticmethod(_plain)
 
 
 # Built once: ``json.dumps`` with any option builds a new encoder per call.
 _LINE = _Encoder().encode
-_DOCUMENT = _Encoder(indent=2).encode
+_STRING = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _key(key) -> str:
+    """A dict key, turned into a string as ``json`` turns it, and quoted."""
+    if isinstance(key, str):
+        return _STRING(key)
+    if isinstance(key, float):
+        return f'"{_float(key)}"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _document(obj, indent: str, head: str = "") -> str:
+    """``head``, then ``obj`` as ``_Encoder(indent=2).encode`` writes it.
+
+    ``indent`` is a line break and the indentation of ``obj``'s level; its
+    items go two spaces deeper.  CPython encodes in pure Python whenever
+    ``indent`` is set, yielding every chunk from a generator into one list.
+    This checks types in the same order, but writes each value once, after
+    the separator and key before it, and joins each container once.  Unlike
+    ``json`` it looks for no reference cycles; no command's document has one.
+    """
+    if isinstance(obj, str):
+        return head + _STRING(obj)
+    if obj is None:
+        return head + "null"
+    if obj is True:
+        return head + "true"
+    if obj is False:
+        return head + "false"
+    if isinstance(obj, int):
+        return head + int.__repr__(obj)
+    if isinstance(obj, float):
+        return head + _float(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return head + "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        items = iter(obj)
+        first = _document(next(items), inner, f"{head}[{inner}")
+        return "".join([first, *[_document(v, inner, sep) for v in items], indent, "]"])
+    if isinstance(obj, dict):
+        if not obj:
+            return head + "{}"
+        inner = indent + "  "
+        sep = "," + inner
+        items = iter(obj.items())
+        k, v = next(items)
+        first = _document(v, inner, f"{head}{{{inner}{_key(k)}: ")
+        rest = [_document(v, inner, f"{sep}{_key(k)}: ") for k, v in items]
+        return "".join([first, *rest, indent, "}"])
+    return _document(_plain(obj), indent, head)
 
 
 def _json_dumps(obj) -> str:
-    return _DOCUMENT(obj) + "\n"
+    return _document(obj, "\n") + "\n"
 
 
 # What a command returns for ``main`` to write: the whole text, or a writer

@@ -215,8 +215,8 @@ def pauli_product(axes: str) -> ProductObservable:
 
 def pauli_eigenstate(axis: Axis, sign: int) -> StateVector:
     """Single-site eigenstate of a Pauli axis with eigenvalue ``sign``."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be int +1 or -1, got {sign!r}")
     return StateVector(1, _EIGVEC[(axis, sign)])
 
 
@@ -280,23 +280,49 @@ def _pair_split(n: int, s1: int, s2: int) -> tuple[np.ndarray, ...]:
     return groups
 
 
-def _apply_factors(amps: np.ndarray, n: int, factors: Iterable[tuple[int, Axis]]) -> np.ndarray:
-    """Apply Pauli factors as amplitude swaps and phases; the rightmost acts first."""
-    for site, axis in reversed(tuple(factors)):
+# Where each float of i**c * (re, im) is read from, and its sign: c = 0, 1, 2, 3
+# give (re, im), (-im, re), (-re, -im) and (im, -re).
+_PHASE_READS = (np.array([0, 1]), np.array([1, 0]))
+_PHASE_SIGNS = tuple(np.array(s) for s in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)))
+
+
+@lru_cache
+def _gather(n: int, factors: tuple[tuple[int, Axis], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli ``factors`` on ``n`` sites as ``(source, sign)`` over the amplitudes' float pairs.
+
+    The rightmost factor acts first.  X and Y flip a site's bit; Y takes a
+    phase -i where the bit is clear and +i where it is set, and Z +1 and
+    -1.  A factor's phase reads the bit of output index j after the flips
+    of the factors to its left, so amplitude j of the product is
+    ``i**c * (-1)**popcount(j & zmask) * amps[j ^ xmask]``, where xmask
+    holds the sites with an odd count of X and Y factors and zmask those
+    with an odd count of Y and Z.  Output float f is ``sign[f] *
+    floats[source[f]]``: plus or minus one input float, zeros included.
+    """
+    xmask = zmask = c = 0
+    for site, axis in factors:
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for {n} sites")
-        # axis 1 of the view is the site's bit: its up and down amplitudes
-        pair = amps.reshape(-1, 2, 1 << site)
-        up, down = pair[:, 0], pair[:, 1]
-        out = np.empty_like(pair)
-        if axis is Axis.X:
-            out[:, 0], out[:, 1] = down, up
-        elif axis is Axis.Y:
-            out[:, 0], out[:, 1] = -1j * down, 1j * up
-        else:
-            out[:, 0], out[:, 1] = up, -down
-        amps = out.reshape(-1)
-    return amps
+        bit = 1 << site
+        if axis is not Axis.X:
+            # i**(2 * (b ^ f)) = i**(2 * b) * i**(2 * f) for the flip f from the left
+            c += (3 if axis is Axis.Y else 0) + (2 if xmask & bit else 0)
+            zmask ^= bit
+        if axis is not Axis.Z:
+            xmask ^= bit
+    idx = np.arange(1 << n)
+    parity = np.bitwise_count(idx & zmask) & 1
+    source = ((2 * (idx ^ xmask))[:, None] + _PHASE_READS[c & 1]).reshape(-1)
+    sign = ((1.0 - 2.0 * parity)[:, None] * _PHASE_SIGNS[c & 3]).reshape(-1)
+    source.flags.writeable = False
+    sign.flags.writeable = False
+    return source, sign
+
+
+def _apply_factors(amps: np.ndarray, n: int, factors: Iterable[tuple[int, Axis]]) -> np.ndarray:
+    """Apply Pauli factors, the rightmost first, as one cached gather and sign flip."""
+    source, sign = _gather(n, tuple(factors))
+    return (amps.view(np.float64)[source] * sign).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +429,8 @@ def pauli_project(
     The collapsed state is ``None`` when the branch probability is below
     ``MIN_BRANCH_PROB``.
     """
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    if type(outcome) is not int or outcome not in (1, -1):
+        raise ValueError(f"outcome must be int +1 or -1, got {outcome!r}")
     n = state.num_sites
     coeff = _site_overlap(state.amps, n, site, axis, outcome)
     p = float(np.vdot(coeff, coeff).real)
@@ -437,13 +463,14 @@ def product_project(
     state: StateVector, obs: ProductObservable, outcome: int
 ) -> tuple[float, StateVector | None]:
     """Probability of a product-observable outcome and the collapsed state."""
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    if type(outcome) is not int or outcome not in (1, -1):
+        raise ValueError(f"outcome must be int +1 or -1, got {outcome!r}")
     w = _product_branch(state, obs, outcome)
     p = float(np.vdot(w, w).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    return p, StateVector(state.num_sites, w / math.sqrt(p), copy=False)
+    # p is the branch's own squared norm, so dividing by its root normalizes it
+    return p, StateVector._renormalized(state.num_sites, w / math.sqrt(p))
 
 
 def expectation_product(state: StateVector, obs: ProductObservable) -> float:

@@ -250,6 +250,25 @@ def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
     return StateVector(state.num_sites, matrix @ state.amps, copy=False)
 
 
+def ref_apply_factors(amps: np.ndarray, n: int, factors) -> np.ndarray:
+    """Pauli factors applied one at a time as swaps and phases; the rightmost acts first."""
+    for site, axis in reversed(tuple(factors)):
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} sites")
+        # axis 1 of the view is the site's bit: its up and down amplitudes
+        pair = amps.reshape(-1, 2, 1 << site)
+        up, down = pair[:, 0], pair[:, 1]
+        out = np.empty_like(pair)
+        if axis is Axis.X:
+            out[:, 0], out[:, 1] = down, up
+        elif axis is Axis.Y:
+            out[:, 0], out[:, 1] = -1j * down, 1j * up
+        else:
+            out[:, 0], out[:, 1] = up, -down
+        amps = out.reshape(-1)
+    return amps
+
+
 def commutes_on_state(state: StateVector, o1: ProductObservable, o2: ProductObservable) -> bool:
     """Whether (O1*O2 - O2*O1) annihilates the given state."""
     m1, m2 = observable_matrix(o1, state.num_sites), observable_matrix(o2, state.num_sites)
@@ -764,3 +783,16 @@ def _record_default(obj):
 def ref_record_line(rec) -> str:
     """A trial record's jsonl line encoded whole: its fields in declaration order, an enum as its value."""
     return json.dumps(rec, default=_record_default) + "\n"
+
+
+def _document_default(obj):
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def ref_document(obj) -> str:
+    """A command's JSON document as ``json`` writes it with ``indent=2``, without the last newline."""
+    return json.dumps(obj, indent=2, default=_document_default)

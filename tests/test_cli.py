@@ -1,14 +1,17 @@
 import contextlib
+import dataclasses
 import functools
 import gc
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import sys
 import tempfile
 import tracemalloc
+from enum import Enum, IntEnum
 from unittest import mock
 
 import pytest
@@ -509,6 +512,47 @@ KNOWN_OUTPUTS = [
         "d3c5881b24a2bf31a6d9f9f0aea60021cd4f37e6a403a6d2af276adc26868d67",
         id="prove-classical-json",
     ),
+    # the other reachable triples of both exact commands (p and m name +1 and -1), and text forms
+    pytest.param(
+        ("elements", "1", "-1", "1", "--format", "json"),
+        "187454eb98f29f6b176a0558b8a94dd94a0f0b842c739f2430baa9235497ac47",
+        id="elements-json-pmp",
+    ),
+    pytest.param(
+        ("elements", "-1", "1", "1", "--format", "json"),
+        "20179972a661b385bcfaa26f4ec7cd43fbca3ee353376717fd7153fc13b248cc",
+        id="elements-json-mpp",
+    ),
+    pytest.param(
+        ("elements", "-1", "-1", "-1", "--format", "json"),
+        "a5193929096241095a10701fea278afdf5b481aabe8b7b79c1aca52a372953ab",
+        id="elements-json-mmm",
+    ),
+    pytest.param(
+        ("elements", "1", "1", "-1"),
+        "2d7128253fb3464fc9a7016afb27c2d3d86de3471648326f59a81c9e9222955f",
+        id="elements-text",
+    ),
+    pytest.param(
+        ("prove", "stapp", "1", "-1", "1", "--format", "json"),
+        "f10fa462e29558b8943072fd9e82d2b9237b6cc2a1ee99fcc5a70bf6f9bbd780",
+        id="prove-stapp-json-pmp",
+    ),
+    pytest.param(
+        ("prove", "stapp", "-1", "1", "1", "--format", "json"),
+        "dc1173279e29ad90c217b0fa4e5d2f168254e466666a86c23a5f7c3aea9ace5b",
+        id="prove-stapp-json-mpp",
+    ),
+    pytest.param(
+        ("prove", "stapp", "-1", "-1", "-1", "--format", "json"),
+        "0e2833f93848294fc59f6e0111bc20e13342861fa49ec7e40c31386edbeb078d",
+        id="prove-stapp-json-mmm",
+    ),
+    pytest.param(
+        ("prove", "classical"),
+        "63a3cd0b9bd862dff580c88d95e8378b0a916921f3a6878c0aa9f0246c8b0d2c",
+        id="prove-classical-text",
+    ),
     pytest.param(
         ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "jsonl"),
         "4ae1dd5026f767b9dd80bb35f876142843ffb251b1ef7defe4c489ac12a3a42b",
@@ -547,6 +591,154 @@ def test_jsonl_memory_does_not_grow_with_trials(tmp_path):
     large = jsonl_peak_bytes(tmp_path / "large.jsonl", 4000)
     assert large - small < 64 * 1024
     assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 4000
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: one recursive pass against the standard library's writer
+
+
+class Color(Enum):
+    RED = "red"
+    PAIR = (1, -0.0)
+    NONE = None
+
+
+class Level(IntEnum):
+    LOW = -1
+    HUGE = 2**80
+
+
+@dataclasses.dataclass(frozen=True)
+class Frozen:
+    name: str
+    value: object
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Slotted:
+    value: object
+
+
+class Name(str):
+    pass
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "a ratio"
+
+
+class Pair(tuple):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf, 0.1, 1e16)
+DOC_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.floats()
+    | st.sampled_from(SPECIAL_FLOATS) | st.text() | st.sampled_from("\x00\x1f\"\\/é☃\U0001f600")
+    | st.sampled_from(list(Color)) | st.sampled_from(list(Level))
+    | st.text(max_size=3).map(Name) | st.floats().map(Ratio)
+)
+DOC_KEYS = (
+    st.text(max_size=4) | st.integers() | st.floats() | st.booleans() | st.none()
+    | st.text(max_size=3).map(Name) | st.floats().map(Ratio) | st.sampled_from(list(Level))
+)
+DOCS = st.recursive(
+    DOC_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4).map(Pair)
+        | st.dictionaries(DOC_KEYS, inner, max_size=4)
+        | st.dictionaries(DOC_KEYS, inner, max_size=4).map(Table)
+        | st.builds(Frozen, st.text(max_size=3), inner)
+    ),
+    max_leaves=25,
+)
+
+
+def written(write, obj):
+    """What ``write`` makes of ``obj``: the text, or the ``TypeError`` and its message."""
+    try:
+        return write(obj)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def reference_document(obj) -> str:
+    return oracle.ref_document(obj) + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(obj=DOCS)
+@example(obj={1: [True, False, None, 1], False: (), None: {}, 0.5: "x", -math.inf: -0.0})
+@example(obj=[Frozen("slotted inside", Slotted(1))])  # vars() raises on a slotted dataclass
+def test_document_equals_stdlib_indent_2(obj):
+    assert written(cli._json_dumps, obj) == written(reference_document, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, 1j, b"bytes", [object()], {"a": frozenset()}, Slotted(1),
+    {(1, 2): 3}, {Color.RED: 1}, {"ok": {Frozen("k", 1): 2}},
+])
+def test_both_writers_reject_the_same_keys_and_values(obj):
+    got = written(cli._json_dumps, obj)
+    assert got[0] is TypeError
+    assert got == written(reference_document, obj)
+
+
+def command_documents(argv):
+    """Each object ``main(argv)`` hands ``_json_dumps``, with the text it wrote."""
+    seen = []
+
+    def spy(obj):
+        seen.append((obj, dumps(obj)))
+        return seen[-1][1]
+
+    dumps = cli._json_dumps
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_json_dumps", spy):
+        assert main([*argv, "--format", "json", "--out", f"{tmp}/out"]) == 0
+    return seen
+
+
+DOCUMENT_COMMANDS = [
+    ("prove", "classical"),
+    *[("prove", "stapp", *t) for t in (("1", "1", "-1"), ("1", "-1", "1"), ("-1", "-1", "-1"))],
+    *[("elements", *t) for t in (("1", "1", "-1"), ("-1", "1", "1"), ("-1", "-1", "-1"))],
+    *[("game", "--strategy", s, "--trials", "200", "--seed", "7")
+      for s in ("quantum", "classical-best", "lhv", "random")],
+    ("game", "--strategy", "classical-table", "--table", "1", "-1", "1", "1", "-1", "1",
+     "--trials", "200"),
+    ("game", "--eta", "0.9", "--trials", "200", "--seed", "12345"),
+    ("sweep", "--trials", "100", "--seed", "7"),
+    ("teleport", "--trials", "1024", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_COMMANDS, ids=" ".join)
+def test_every_command_document_equals_stdlib_indent_2(argv):
+    [(obj, text)] = command_documents(argv)
+    assert text == reference_document(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ("prove", "stapp", "1", "1", "-1"),
+    ("teleport", "--trials", "1024", "--seed", "3"),
+], ids=" ".join)
+def test_document_peak_memory_stays_within_four_times_its_length(argv):
+    # the standard library's chunk list peaks at 8.6 and 6.6 times these lengths
+    [(obj, text)] = command_documents(argv)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli._json_dumps(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_help_exits_zero(capsys):

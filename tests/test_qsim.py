@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ghzlab import qsim
 from ghzlab.qsim import (
     _EIGVEC,
     MIN_BRANCH_PROB,
@@ -250,6 +251,25 @@ def test_measure_pauli_rejects_axis_letter_before_storing():
     assert (0, "x") not in make_ghz().memo
 
 
+# An outcome or sign must be an exact int: True, 1.0 and -1.0 compare equal
+# to +1 or -1, and each was accepted until these checks took the type too.
+NOT_EXACT_INTS = (True, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT_INTS)
+def test_outcomes_and_signs_must_be_exact_ints(value):
+    ghz = make_ghz()
+    for call in (
+        lambda: pauli_project(ghz, 0, Axis.X, value),
+        lambda: product_project(ghz, pauli_product("xyy"), value),
+        lambda: results_weight(ghz, [(0, Axis.X, 1), (1, Axis.X, value)]),
+    ):
+        with pytest.raises(ValueError, match=f"outcome must be int \\+1 or -1, got {value!r}"):
+            call()
+    with pytest.raises(ValueError, match=f"sign must be int \\+1 or -1, got {value!r}"):
+        pauli_eigenstate(Axis.Z, value)
+
+
 def test_expectation_ghz_products():
     g = make_ghz()
     for axes, want in (("xxx", -1.0), ("xyy", 1.0), ("yxy", 1.0), ("yyx", 1.0), ("yyy", 0.0)):
@@ -282,6 +302,22 @@ def test_measure_product_yyy_is_fair():
     n = 20_000
     hits = sum(measure_product(g, pauli_product("yyy"), rnd)[0] == 1 for _ in range(n))
     assert abs(hits / n - 0.5) < oracle.binomial_4sigma(0.5, n)
+
+
+def test_product_branches_are_never_returned_unnormalized():
+    # the -1 weight 1 - p_plus of this state is off by about 1e-16 in 1e-11
+    eps = 1e-11
+    state = StateVector(1, [np.sqrt(1 - eps), np.sqrt(eps)])
+    p, branch = product_project(state, pauli_product("z"), -1)
+    assert p == pytest.approx(eps, rel=1e-12)
+    assert np.vdot(branch.amps, branch.amps).real == pytest.approx(1.0, abs=1e-15)
+    try:  # measure_product divides by that weight, not by the branch's own norm
+        outcome, branch = measure_product(state, pauli_product("z"), oracle.TopDraw())
+    except ValueError as exc:
+        assert "not normalized" in str(exc)
+    else:
+        assert outcome == -1
+        assert np.vdot(branch.amps, branch.amps).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_product_involution():
@@ -668,14 +704,67 @@ def test_bell_measure_lone_branch_draws_nothing():
 # Pauli products as swaps and phases, the branch picker, and the partial trace
 
 
+def factor_lists(n: int):
+    """Any Pauli factor list on ``n`` sites, mixed axes on one site and repeats included."""
+    return st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(list(Axis))),
+                    min_size=1, max_size=6)
+
+
 @settings(deadline=None, max_examples=200)
 @given(kind=STATE_KINDS, n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1), data=st.data())
 def test_apply_factors_equals_dense_product(kind, n, seed, data):
     amps = structured_state(kind, n, seed).amps
-    factors = data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.sampled_from(list(Axis))), min_size=1, max_size=6))
+    factors = data.draw(factor_lists(n))
     want = oracle.product_matrix([(s, a.value) for s, a in factors], n) @ amps
     assert np.array_equal(_apply_factors(amps, n, factors), want)
+
+
+def assert_gather_matches_sequential_kernel(amps, n, factors):
+    """``_apply_factors`` equals ``oracle.ref_apply_factors`` float for float, sign bits included.
+
+    Equal nonzero floats share every bit.  A zero keeps its sign bit too,
+    except after a Y factor: the sequential kernel multiplies by +-1j, whose
+    0 * x term gives a zero the sign of x, so its zeros depend on the path
+    (Y Y and Z Z on |up> give imaginary parts -0.0 and 0.0), and no one
+    gather per operator can match them.  The gather sends each float to
+    plus or minus one input float, a zero included.
+    """
+    got = _apply_factors(amps, n, factors).view(np.float64)
+    want = oracle.ref_apply_factors(amps, n, factors).view(np.float64)
+    assert np.array_equal(got, want)
+    if all(axis is not Axis.Y for _, axis in factors) or np.all(want != 0):
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=STATE_KINDS, n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_gather_equals_sequential_kernel(kind, n, seed, data):
+    amps = structured_state(kind, n, seed).amps
+    assert_gather_matches_sequential_kernel(amps, n, data.draw(factor_lists(n)))
+
+
+@pytest.mark.parametrize("axes", ["yy", "zz", "xx", "yzx", "zyz"])
+def test_gather_equals_sequential_kernel_on_one_site(axes):
+    for bits in ("0", "1"):
+        factors = [(0, Axis(a)) for a in axes]
+        assert_gather_matches_sequential_kernel(oracle.basis_state(bits).amps, 1, factors)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_gather_equals_sequential_kernel_on_nine_sites(data):
+    from ghzlab.teleport import build_setup
+
+    assert_gather_matches_sequential_kernel(build_setup().amps, 9, data.draw(factor_lists(9)))
+
+
+def test_gather_is_built_once_per_sites_and_factors():
+    obs = pauli_product("xyy")
+    first = qsim._gather(3, obs.factors)
+    assert qsim._gather(3, pauli_product("xyy").factors) is first
+    assert qsim._gather(4, obs.factors) is not first
+    source, sign = first
+    assert not source.flags.writeable and not sign.flags.writeable
 
 
 def test_observable_past_last_site_is_rejected():
