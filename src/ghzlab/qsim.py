@@ -36,9 +36,10 @@ MAX_SITES = 12
 
 # Tolerance for exact algebraic identities (norms, traces, eigenrelations).
 ATOL_EXACT = 1e-12
-# Branches below this probability are treated as numerically impossible.  The
-# bound covers the rounding of a complementary weight ``1 - p_plus``, which
-# reads a few 1e-15 where the true branch is empty.
+# Branches below this probability are treated as numerically impossible.  Each
+# branch is weighed by its own overlap, so an empty one reads 0 or the square
+# of a rounding residue, near 1e-32; the bound sits far above that, and a live
+# branch of any weight above it is renormalized by its own norm.
 MIN_BRANCH_PROB = ATOL_EXACT
 
 RandomSource = np.random.Generator
@@ -129,26 +130,30 @@ class StateVector:
 class _SharedState(StateVector):
     """A state reused across trials: ``make_ghz()``, ``teleport.build_setup()`` and their branches.
 
+    It shares the frozen buffer of ``state``, which is already normalized:
+    a root was validated by :class:`StateVector`, a child is a projection.
     ``memo`` maps each Pauli ``(site, axis)`` and Bell pair ``(s1, s2)``
     measured on it to ``[picker, *children]``: the :func:`_picker` of the
-    Born weights, then one collapsed branch per outcome, built the first
-    time it is drawn and kept; a dead branch stays ``None``.  Only sites not
-    yet ``measured`` on the path from the root get an entry and shared
-    branches, which bounds the tree, so a memo hit is one lookup; measuring
-    a site again gives a plain state.
+    Born weights, each outcome weighed by its own overlap, then one branch
+    per outcome, the outcome's projection, built the first time it is drawn
+    and kept; a dead branch stays ``None``.  Only sites not yet ``measured``
+    on the path from the root get an entry and shared branches, which
+    bounds the tree, so a memo hit is one lookup; measuring a site again
+    gives a plain state.
     """
 
     __slots__ = ("memo", "measured")
 
-    def __init__(self, num_sites: int, amps: np.ndarray, measured: frozenset[int] = frozenset()):
-        super().__init__(num_sites, amps, copy=False)
+    def __init__(self, state: StateVector, measured: frozenset[int] = frozenset()):
+        self.num_sites = state.num_sites
+        self.amps = state.amps
         self.memo = {}
         self.measured = measured
 
     def keep(self, key: tuple, entry: list, k: int, sites: tuple[int, ...], branch: StateVector):
         """Keep ``entry`` for ``key``, and ``branch``, collapsed on ``sites``, as child ``k``."""
         self.memo[key] = entry
-        child = entry[k + 1] = _SharedState(self.num_sites, branch.amps, self.measured.union(sites))
+        child = entry[k + 1] = _SharedState(branch, self.measured.union(sites))
         return child
 
 
@@ -230,7 +235,7 @@ def make_ghz() -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = _SQRT1_2
     amps[0b111] = -_SQRT1_2
-    return _SharedState(3, amps)
+    return _SharedState(StateVector(3, amps, copy=False))
 
 
 @lru_cache(maxsize=1)
@@ -259,22 +264,16 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _site_split(n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with bit ``site`` clear, and the same with it set."""
-    idx = np.arange(1 << n)
-    i0 = idx[((idx >> site) & 1) == 0]
-    i1 = i0 + (1 << site)
-    i0.flags.writeable = False
-    i1.flags.writeable = False
-    return i0, i1
+def _split(n: int, sites: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Basis indices grouped by p = sum of bit(sites[j]) << j, in ascending p.
 
-
-@lru_cache(maxsize=None)
-def _pair_split(n: int, s1: int, s2: int) -> tuple[np.ndarray, ...]:
-    """Basis indices grouped by the pair value p = bit(s1) + 2*bit(s2)."""
+    For a pair (s1, s2), p is the pair value bit(s1) + 2*bit(s2).
+    """
     idx = np.arange(1 << n)
-    base = idx[(((idx >> s1) & 1) == 0) & (((idx >> s2) & 1) == 0)]
-    groups = (base, base + (1 << s1), base + (1 << s2), base + (1 << s1) + (1 << s2))
+    base = idx[(idx & sum(1 << s for s in sites)) == 0]
+    groups = tuple(
+        base + sum(1 << s for j, s in enumerate(sites) if p >> j & 1) for p in range(1 << len(sites))
+    )
     for g in groups:
         g.flags.writeable = False
     return groups
@@ -367,7 +366,7 @@ def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int)
         raise ValueError(f"site {site} out of range for {n} sites")
     if type(axis) is not Axis:
         raise ValueError(f"axis must be an Axis, got {axis!r}")
-    i0, i1 = _site_split(n, site)
+    i0, i1 = _split(n, (site,))
     a0 = amps[i0]
     a1 = amps[i1]
     if axis is Axis.Z:
@@ -375,21 +374,6 @@ def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int)
     if axis is Axis.X:
         return (a0 + a1) * _SQRT1_2 if outcome == 1 else (a0 - a1) * _SQRT1_2
     return (a0 - 1j * a1) * _SQRT1_2 if outcome == 1 else (a0 + 1j * a1) * _SQRT1_2
-
-
-def _site_collapse(
-    n: int, site: int, axis: Axis, outcome: int, coeff: np.ndarray, prob: float
-) -> StateVector:
-    """Rebuild the full renormalized state from an overlap field."""
-    i0, i1 = _site_split(n, site)
-    v0, v1 = _EIGVEC[(axis, outcome)]
-    inv = 1.0 / math.sqrt(prob)
-    out = np.zeros(1 << n, dtype=complex)
-    if v0:
-        out[i0] = (v0 * inv) * coeff
-    if v1:
-        out[i1] = (v1 * inv) * coeff
-    return StateVector._renormalized(n, out)
 
 
 def measure_pauli(
@@ -402,22 +386,20 @@ def measure_pauli(
     shared: on a shared state (see :class:`_SharedState`) the Born picker
     and each collapsed branch are computed once and kept, and later calls
     draw with the same picker and return the same branch.  No other state
-    keeps anything.
+    keeps anything.  Each outcome is weighed by its own overlap, and the
+    branch returned is the one :func:`pauli_project` gives for the outcome.
     """
     shared = type(state) is _SharedState
     entry = state.memo.get((site, axis)) if shared else None
-    n = state.num_sites
     if entry is None:  # only a miss asks whether the site is unmeasured
         shared = shared and site not in state.measured
-        c_plus = _site_overlap(state.amps, n, site, axis, 1)
-        p_plus = float(np.vdot(c_plus, c_plus).real)
-        entry = [_picker((p_plus, 1.0 - p_plus)), None, None]
+        overlaps = [_site_overlap(state.amps, state.num_sites, site, axis, o) for o in _OUTCOMES]
+        entry = [_picker([float(np.vdot(c, c).real) for c in overlaps]), None, None]
     k = _draw(rnd, entry[0])
     outcome = _OUTCOMES[k]
     if entry[k + 1] is not None:
         return outcome, entry[k + 1]
-    coeff = _site_overlap(state.amps, n, site, axis, outcome)
-    branch = _site_collapse(n, site, axis, outcome, coeff, entry[0][3][k])
+    _, branch = pauli_project(state, site, axis, outcome)
     return outcome, state.keep((site, axis), entry, k, (site,), branch) if shared else branch
 
 
@@ -436,7 +418,12 @@ def pauli_project(
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    return p, _site_collapse(n, site, axis, outcome, coeff, p)
+    inv = 1.0 / math.sqrt(p)
+    out = np.zeros(1 << n, dtype=complex)
+    for v, group in zip(_EIGVEC[(axis, outcome)], _split(n, (site,))):
+        if v:
+            out[group] = (v * inv) * coeff
+    return p, StateVector._renormalized(n, out)
 
 
 def _product_branch(state: StateVector, obs: ProductObservable, outcome: int) -> np.ndarray:
@@ -449,14 +436,13 @@ def measure_product(
 ) -> tuple[int, StateVector]:
     """Measure a Pauli product as a single +1/-1 observable.
 
-    Projects onto the degenerate eigenspaces (I + o*O)/2 and renormalizes.
+    Projects onto the degenerate eigenspaces (I + o*O)/2, weighs each by its
+    own norm, and renormalizes the drawn one as :func:`product_project` does.
     """
-    w_plus = _product_branch(state, obs, 1)
-    p_plus = float(np.vdot(w_plus, w_plus).real)
-    weights = (p_plus, 1.0 - p_plus)
+    branches = [_product_branch(state, obs, o) for o in _OUTCOMES]
+    weights = [float(np.vdot(w, w).real) for w in branches]
     k = _draw(rnd, _picker(weights))
-    w = w_plus if k == 0 else state.amps - w_plus
-    return _OUTCOMES[k], StateVector(state.num_sites, w / math.sqrt(weights[k]), copy=False)
+    return _OUTCOMES[k], StateVector._renormalized(state.num_sites, branches[k] / math.sqrt(weights[k]))
 
 
 def product_project(
@@ -488,23 +474,12 @@ def _bell_overlaps(
         raise ValueError("Bell measurement needs two distinct sites")
     if not (0 <= s1 < n and 0 <= s2 < n):
         raise ValueError(f"sites ({s1}, {s2}) out of range for {n} sites")
-    groups = _pair_split(n, s1, s2)
+    groups = _split(n, (s1, s2))
     parts = [state.amps[g] for g in groups]
     return groups, [
         cp.conjugate() * parts[p] + cq.conjugate() * parts[q]
         for (p, cp), (q, cq) in (which.terms for which in outcomes)
     ]
-
-
-def _bell_collapse(
-    n: int, groups: tuple[np.ndarray, ...], which: BellIndex, coeff: np.ndarray, prob: float
-) -> StateVector:
-    """Rebuild the full renormalized state from a Bell overlap field."""
-    coeff = coeff / math.sqrt(prob)
-    out = np.zeros(1 << n, dtype=complex)
-    for p, c in which.terms:
-        out[groups[p]] = c * coeff
-    return StateVector._renormalized(n, out)
 
 
 def bell_project(
@@ -515,7 +490,11 @@ def bell_project(
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    return p, _bell_collapse(state.num_sites, groups, which, coeff, p)
+    coeff = coeff / math.sqrt(p)
+    out = np.zeros(1 << state.num_sites, dtype=complex)
+    for q, c in which.terms:
+        out[groups[q]] = c * coeff
+    return p, StateVector._renormalized(state.num_sites, out)
 
 
 def bell_measure(
@@ -523,8 +502,9 @@ def bell_measure(
 ) -> tuple[BellIndex, StateVector]:
     """Projective measurement in the Bell basis of sites (s1, s2).
 
-    Every branch is weighed, but only the sampled one is collapsed; a shared
-    state keeps the picker and each branch, as in :func:`measure_pauli`.
+    Every branch is weighed by its own overlap, but only the sampled one is
+    collapsed, as :func:`bell_project` collapses it; a shared state keeps
+    the picker and each branch, as in :func:`measure_pauli`.
     """
     shared = type(state) is _SharedState
     entry = state.memo.get((s1, s2)) if shared else None
@@ -536,8 +516,7 @@ def bell_measure(
     which = _BELL_ORDER[k]
     if entry[k + 1] is not None:
         return which, entry[k + 1]
-    groups, (coeff,) = _bell_overlaps(state, s1, s2, (which,))
-    branch = _bell_collapse(state.num_sites, groups, which, coeff, entry[0][3][k])
+    _, branch = bell_project(state, s1, s2, which)
     return which, state.keep((s1, s2), entry, k, (s1, s2), branch) if shared else branch
 
 

@@ -72,7 +72,7 @@ def build_setup() -> StateVector:
     amps = ghz[idx & 7].copy()
     for local, remote in EPR_LINKS:
         amps *= link_amp(local, remote)
-    return _SharedState(9, amps)
+    return _SharedState(StateVector(9, amps, copy=False))
 
 
 @dataclass(frozen=True)

@@ -413,18 +413,6 @@ def site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) 
     return (up + second) * SQ2 if outcome == 1 else (up - second) * SQ2
 
 
-def ref_pick_branch(rnd, p_plus: float) -> int:
-    """Sample +1/-1 by the Born rule, clamping numerically dead branches."""
-    p_minus = 1.0 - p_plus
-    if p_plus < MIN_BRANCH_PROB and p_minus < MIN_BRANCH_PROB:
-        raise RuntimeError("both measurement branches have zero probability")
-    if p_plus < MIN_BRANCH_PROB:
-        return -1
-    if p_minus < MIN_BRANCH_PROB:
-        return 1
-    return 1 if rnd.random() < p_plus else -1
-
-
 def _ref_site_collapse(n, site, axis, outcome, coeff, prob) -> np.ndarray:
     i0, i1 = site_indices(n, site)
     v0, v1 = EIGVEC[(axis, outcome)]
@@ -441,27 +429,22 @@ def ref_measure_pauli(state, site, axis, rnd):
     n = state.num_sites
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} sites")
-    c_plus = site_overlap(state.amps, n, site, axis, 1)
-    p_plus = float(np.vdot(c_plus, c_plus).real)
-    outcome = ref_pick_branch(rnd, p_plus)
-    if outcome == 1:
-        coeff, prob = c_plus, p_plus
-    else:
-        coeff, prob = site_overlap(state.amps, n, site, axis, -1), 1.0 - p_plus
-    return outcome, StateVector._renormalized(n, _ref_site_collapse(n, site, axis, outcome, coeff, prob))
+    coeffs = [site_overlap(state.amps, n, site, axis, o) for o in (1, -1)]
+    weights = [float(np.vdot(c, c).real) for c in coeffs]
+    k = ref_pick(rnd, weights)
+    outcome = (1, -1)[k]
+    return outcome, StateVector._renormalized(
+        n, _ref_site_collapse(n, site, axis, outcome, coeffs[k], weights[k])
+    )
 
 
 def ref_measure_product(state, obs, rnd):
     n = state.num_sites
     o_amps = observable_matrix(obs, n) @ state.amps
-    w_plus = 0.5 * (state.amps + o_amps)
-    p_plus = float(np.vdot(w_plus, w_plus).real)
-    outcome = ref_pick_branch(rnd, p_plus)
-    if outcome == 1:
-        collapsed = w_plus / math.sqrt(p_plus)
-    else:
-        collapsed = (state.amps - w_plus) / math.sqrt(1.0 - p_plus)
-    return outcome, StateVector(n, collapsed, copy=False)
+    branches = [0.5 * (state.amps + o * o_amps) for o in (1, -1)]
+    weights = [float(np.vdot(w, w).real) for w in branches]
+    k = ref_pick(rnd, weights)
+    return (1, -1)[k], StateVector(n, branches[k] / math.sqrt(weights[k]), copy=False)
 
 
 def ref_bell_project(state, s1, s2, which):

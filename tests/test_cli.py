@@ -563,6 +563,18 @@ KNOWN_OUTPUTS = [
         "1d716c44953d2635e1aa93f8ab64d21a524fd4f28b51b327e5ef6c58534144b3",
         id="game-lhv-text",
     ),
+    # larger sampled runs: both read the Born pickers of measure_pauli and bell_measure
+    pytest.param(
+        ("game", "--strategy", "quantum", "--eta", "0.8", "--trials", "5000", "--seed", "12345",
+         "--format", "jsonl"),
+        "d501fc3bc7619efe168f3f1e3b39a46ab00a863cd2a7cff9c321ec1fdbd90b40",
+        id="game-quantum-eta-jsonl-5000",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "10000", "--seed", "0", "--format", "json"),
+        "4cef217dd75b459f76a9a86662555897e71bda8b3dcd215cd9b5a80468681fa3",
+        id="teleport-json-10000",
+    ),
 ]
 
 

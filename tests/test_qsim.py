@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ghzlab import qsim
 from ghzlab.qsim import (
     _EIGVEC,
+    ATOL_EXACT,
     MIN_BRANCH_PROB,
     Axis,
     BellIndex,
@@ -304,20 +307,30 @@ def test_measure_product_yyy_is_fair():
     assert abs(hits / n - 0.5) < oracle.binomial_4sigma(0.5, n)
 
 
+@pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7])
+def test_pauli_branches_are_never_returned_unnormalized(eps):
+    # the -1 branch along each axis weighs eps, and a top draw takes it
+    up, down = np.sqrt(1 - eps), np.sqrt(eps)
+    for axis, amps in ((Axis.Z, [up, down]), (Axis.X, [(up + down) * SQ2, (up - down) * SQ2])):
+        state = StateVector(1, amps)
+        p, projected = pauli_project(state, 0, axis, -1)
+        assert p == pytest.approx(eps, rel=1e-6)
+        outcome, branch = measure_pauli(state, 0, axis, oracle.TopDraw())
+        assert outcome == -1
+        assert abs(np.vdot(branch.amps, branch.amps).real - 1.0) <= ATOL_EXACT
+        assert np.array_equal(branch.amps, projected.amps)
+
+
 def test_product_branches_are_never_returned_unnormalized():
-    # the -1 weight 1 - p_plus of this state is off by about 1e-16 in 1e-11
     eps = 1e-11
     state = StateVector(1, [np.sqrt(1 - eps), np.sqrt(eps)])
-    p, branch = product_project(state, pauli_product("z"), -1)
+    p, projected = product_project(state, pauli_product("z"), -1)
     assert p == pytest.approx(eps, rel=1e-12)
-    assert np.vdot(branch.amps, branch.amps).real == pytest.approx(1.0, abs=1e-15)
-    try:  # measure_product divides by that weight, not by the branch's own norm
-        outcome, branch = measure_product(state, pauli_product("z"), oracle.TopDraw())
-    except ValueError as exc:
-        assert "not normalized" in str(exc)
-    else:
-        assert outcome == -1
-        assert np.vdot(branch.amps, branch.amps).real == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(projected.amps, projected.amps).real == pytest.approx(1.0, abs=1e-15)
+    outcome, branch = measure_product(state, pauli_product("z"), oracle.TopDraw())
+    assert outcome == -1
+    assert np.vdot(branch.amps, branch.amps).real == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(branch.amps, projected.amps)
 
 
 def test_apply_product_involution():
@@ -687,6 +700,34 @@ def test_bell_measure_matches_reference(kind, n, seed, rseed, data):
         assert_same_sample(got, want, rng_got, untouched)
         untouched.random()
         assert rng_want.bit_generator.state == untouched.bit_generator.state
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=STATE_KINDS, n=st.integers(2, 5), seed=st.integers(0, 2**31 - 1),
+       rseed=st.integers(0, 2**31 - 1), shared=st.booleans(), data=st.data())
+def test_sampled_branch_is_its_projection(kind, n, seed, rseed, shared, data):
+    state = structured_state(kind, n, seed)
+    site, s2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    axis = data.draw(st.sampled_from(list(Axis)))
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    obs = ProductObservable(tuple((s, data.draw(st.sampled_from(list(Axis)))) for s in sites))
+    cases = (
+        (lambda psi, rnd: measure_pauli(psi, site, axis, rnd),
+         lambda o: pauli_project(state, site, axis, o), (1, -1)),
+        (lambda psi, rnd: bell_measure(psi, site, s2, rnd),
+         lambda o: bell_project(state, site, s2, o), tuple(BellIndex)),
+        (lambda psi, rnd: measure_product(psi, obs, rnd),
+         lambda o: product_project(state, obs, o), (1, -1)),
+    )
+    for measure, project, outcomes in cases:
+        sampled = qsim._SharedState(state) if shared else state
+        with mock.patch.object(qsim, "_picker", wraps=qsim._picker) as picker:
+            outcome, branch = measure(sampled, np.random.default_rng(rseed))
+        projections = [project(o) for o in outcomes]
+        # a dead branch weighs below the bound, and its projection reports 0.0
+        weights = [w if w >= MIN_BRANCH_PROB else 0.0 for w in picker.call_args.args[0]]
+        assert weights == [p for p, _ in projections]
+        assert np.array_equal(branch.amps, projections[outcomes.index(outcome)][1].amps)
 
 
 def test_bell_measure_lone_branch_draws_nothing():

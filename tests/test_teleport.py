@@ -15,6 +15,7 @@ from ghzlab.game import PATTERNS, TrialStreams, quantum_strategy, run_experiment
 from ghzlab.qsim import (
     Axis,
     BellIndex,
+    StateVector,
     bell_measure,
     bell_project,
     expectation_product,
@@ -133,8 +134,8 @@ def test_run_trial_records_are_consistent():
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.value)
 def test_run_trial_never_takes_a_rounding_branch(pattern, monkeypatch):
-    # the top draw reaches site 8 with a weight 1 - p_plus of about 1e-15
-    # on its empty outcome for the patterns with target +1
+    # the top draw takes the last branch with any weight; at site 8 the empty
+    # outcome of the patterns with target +1 weighs its own overlap, exactly 0
     def unit_norm(measure):
         def checked(*args):
             outcome, state = measure(*args)
@@ -357,6 +358,26 @@ def test_setup_tree_is_bounded_and_stops_growing():
     assert nodes <= 1 + 4 + 16 + 64 + 256 + 1024 + 1024
     run_trials(10_000, 6)
     assert shared_nodes(build_setup()) == nodes
+
+
+def test_kept_branches_are_not_validated_again(monkeypatch):
+    # only the roots go through StateVector's checks; a kept branch is a projection
+    validate, calls = StateVector.__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "__init__", counting)
+    run_trials(1, 0)  # fills the caches cleared below, and those not cleared, such as the rule
+    counts = []
+    for trials in (200, 2000):
+        for cache in (build_setup, make_ghz, teleport._record):
+            cache.cache_clear()
+        calls.clear()
+        run_trials(trials, 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_memo_keys_name_only_unmeasured_sites():
