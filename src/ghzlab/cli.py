@@ -88,14 +88,8 @@ def _plain(obj):
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-class _Encoder(json.JSONEncoder):
-    """JSON that writes what :func:`_plain` gives for any type ``json`` does not know."""
-
-    default = staticmethod(_plain)
-
-
 # Built once: ``json.dumps`` with any option builds a new encoder per call.
-_LINE = _Encoder().encode
+_LINE = json.JSONEncoder(default=_plain).encode
 _STRING = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -123,7 +117,7 @@ def _key(key) -> str:
 
 
 def _document(obj, indent: str, head: str = "") -> str:
-    """``head``, then ``obj`` as ``_Encoder(indent=2).encode`` writes it.
+    """``head``, then ``obj`` as ``json.dumps(obj, indent=2, default=_plain)`` writes it.
 
     ``indent`` is a line break and the indentation of ``obj``'s level; its
     items go two spaces deeper.  CPython encodes in pure Python whenever

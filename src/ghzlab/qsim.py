@@ -81,14 +81,14 @@ _EIGVEC = {
 }
 
 class StateVector:
-    """Normalized pure state of ``num_sites`` two-level systems."""
+    """Normalized pure state of ``num_sites`` two-level systems, holding a frozen copy of ``amps``."""
 
     __slots__ = ("num_sites", "amps")
 
-    def __init__(self, num_sites: int, amps, *, copy: bool = True):
+    def __init__(self, num_sites: int, amps):
         if not 1 <= num_sites <= MAX_SITES:
             raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {num_sites}")
-        arr = np.array(amps, dtype=complex, copy=copy)
+        arr = np.array(amps, dtype=complex)
         if arr.shape != (1 << num_sites,):
             raise ValueError(
                 f"expected {1 << num_sites} amplitudes for {num_sites} sites, got {arr.shape}"
@@ -235,7 +235,7 @@ def make_ghz() -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = _SQRT1_2
     amps[0b111] = -_SQRT1_2
-    return _SharedState(StateVector(3, amps, copy=False))
+    return _SharedState(StateVector(3, amps))
 
 
 @lru_cache(maxsize=1)
@@ -247,7 +247,7 @@ def make_singlet() -> StateVector:
     amps = np.zeros(4, dtype=complex)
     amps[0b10] = _SQRT1_2  # site 0 up, site 1 down
     amps[0b01] = -_SQRT1_2
-    return StateVector(2, amps, copy=False)
+    return StateVector(2, amps)
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -256,7 +256,7 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     if n > MAX_SITES:
         raise ValueError(f"{n} sites exceeds the {MAX_SITES}-site cap")
     # index = ia + (ib << a.num_sites), hence the kron order below
-    return StateVector(n, np.kron(b.amps, a.amps), copy=False)
+    return StateVector(n, np.kron(b.amps, a.amps))
 
 
 # ---------------------------------------------------------------------------

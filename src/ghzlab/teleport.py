@@ -69,10 +69,10 @@ def build_setup() -> StateVector:
     def link_amp(local: int, remote: int) -> np.ndarray:
         return singlet[((idx >> local) & 1) + 2 * ((idx >> remote) & 1)]
 
-    amps = ghz[idx & 7].copy()
+    amps = ghz[idx & 7]
     for local, remote in EPR_LINKS:
         amps *= link_amp(local, remote)
-    return _SharedState(StateVector(9, amps, copy=False))
+    return _SharedState(StateVector(9, amps))
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,6 @@ class TeleportTrialRecord:
     win: bool
 
 
-def _triples(values: tuple) -> dict:
-    """Every triple over ``values``, nested so that ``t[a][b][c] == (a, b, c)``."""
-    return {a: {b: {c: (a, b, c) for c in values} for b in values} for a in values}
-
-
-# Built once and shared by every record, so a record holds no triple of its
-# own: each outcome indexes one level, and no lookup builds a key.
-_BELL_TRIPLES = _triples(tuple(BellIndex))
-_SIGN_TRIPLES = _triples((1, -1))
-
-
 @lru_cache(maxsize=None)
 def _record(pattern: QuestionPattern, bells: tuple, raws: tuple) -> TeleportTrialRecord:
     """The one record of a branch path, shared by every trial that takes it.
@@ -160,10 +149,8 @@ def _record(pattern: QuestionPattern, bells: tuple, raws: tuple) -> TeleportTria
     x 64 Bell triples x 4 raw triples are reachable, so a kept trial costs
     one pointer.
     """
-    rule = derive_correction_rule()
-    corrected = _SIGN_TRIPLES
-    for raw, bell, axis in zip(raws, bells, pattern.axes):
-        corrected = corrected[raw * rule.sign(bell, axis)]
+    sign = derive_correction_rule().sign
+    corrected = tuple(raw * sign(bell, axis) for raw, bell, axis in zip(raws, bells, pattern.axes))
     return TeleportTrialRecord(pattern, bells, raws, corrected, wins(pattern, corrected))
 
 
@@ -174,16 +161,16 @@ def run_trial(pattern: QuestionPattern, rnd: RandomSource) -> TeleportTrialRecor
     used here is statistically irrelevant.  Corrections touch only the
     recorded numbers, never the state.
     """
-    state = build_setup()
-    bells = _BELL_TRIPLES
-    for s1, s2 in BELL_PAIRS:
-        outcome, state = bell_measure(state, s1, s2, rnd)
-        bells = bells[outcome]
-    raws = _SIGN_TRIPLES
-    for site, axis in zip(REMOTE_SITES, pattern.axes):
-        outcome, state = measure_pauli(state, site, axis, rnd)
-        raws = raws[outcome]
-    return _record(pattern, bells, raws)
+    (ghz_a, local_a), (ghz_b, local_b), (ghz_c, local_c) = BELL_PAIRS
+    remote_a, remote_b, remote_c = REMOTE_SITES
+    axis_a, axis_b, axis_c = pattern.axes
+    bell_a, state = bell_measure(build_setup(), ghz_a, local_a, rnd)
+    bell_b, state = bell_measure(state, ghz_b, local_b, rnd)
+    bell_c, state = bell_measure(state, ghz_c, local_c, rnd)
+    raw_a, state = measure_pauli(state, remote_a, axis_a, rnd)
+    raw_b, state = measure_pauli(state, remote_b, axis_b, rnd)
+    raw_c, state = measure_pauli(state, remote_c, axis_c, rnd)
+    return _record(pattern, (bell_a, bell_b, bell_c), (raw_a, raw_b, raw_c))
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,6 @@ class TeleportSummary:
         histogram = {",".join(b.value for b in key): n for key, n in self.bell_histogram.items()}
         return {
             **vars(self),
-            "per_pattern": {name: dict(vars(rates)) for name, rates in self.per_pattern.items()},
             "bell_histogram": dict(sorted(histogram.items())),
         }
 

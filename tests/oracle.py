@@ -241,13 +241,13 @@ def basis_state(bits: str) -> StateVector:
     """Computational basis state from a bit string, site 0 first (0 = up)."""
     amps = np.zeros(1 << len(bits), dtype=complex)
     amps[sum(1 << k for k, c in enumerate(bits) if c == "1")] = 1.0
-    return StateVector(len(bits), amps, copy=False)
+    return StateVector(len(bits), amps)
 
 
 def apply_product(state: StateVector, obs: ProductObservable) -> StateVector:
     """Apply a product observable as an operator (the result stays normalized)."""
     matrix = observable_matrix(obs, state.num_sites)
-    return StateVector(state.num_sites, matrix @ state.amps, copy=False)
+    return StateVector(state.num_sites, matrix @ state.amps)
 
 
 def ref_apply_factors(amps: np.ndarray, n: int, factors) -> np.ndarray:
@@ -444,7 +444,7 @@ def ref_measure_product(state, obs, rnd):
     branches = [0.5 * (state.amps + o * o_amps) for o in (1, -1)]
     weights = [float(np.vdot(w, w).real) for w in branches]
     k = ref_pick(rnd, weights)
-    return (1, -1)[k], StateVector(n, branches[k] / math.sqrt(weights[k]), copy=False)
+    return (1, -1)[k], StateVector(n, branches[k] / math.sqrt(weights[k]))
 
 
 def ref_bell_project(state, s1, s2, which):
@@ -460,7 +460,7 @@ def ref_bell_project(state, s1, s2, which):
     for q in range(4):
         if v[q] != 0:
             out[groups[q]] = v[q] * coeff
-    return p, StateVector(n, out, copy=False)
+    return p, StateVector(n, out)
 
 
 def ref_pick(rnd, weights) -> int:

@@ -575,6 +575,23 @@ KNOWN_OUTPUTS = [
         "4cef217dd75b459f76a9a86662555897e71bda8b3dcd215cd9b5a80468681fa3",
         id="teleport-json-10000",
     ),
+    # jsonl record lines of the strategies and the teleport run no other digest covers
+    pytest.param(
+        ("game", "--strategy", "classical-best", "--trials", "2000", "--seed", "12345",
+         "--format", "jsonl"),
+        "3ecebdc0cf83d8936f61746f1f38620b169760e45e6fa570a936563ef50d4172",
+        id="game-classical-best-jsonl",
+    ),
+    pytest.param(
+        ("game", "--strategy", "random", "--trials", "2000", "--seed", "12345", "--format", "jsonl"),
+        "6ecc720ae4a822959e1ea1c94bc40f138df0c4f28b8ad4313c93f94fb8750369",
+        id="game-random-jsonl",
+    ),
+    pytest.param(
+        ("teleport", "--trials", "10000", "--seed", "12345", "--format", "jsonl"),
+        "3b8c51d1c55474021c9e523938a333fb0c50f91236ab96211fbb55539c775e66",
+        id="teleport-jsonl-10000",
+    ),
 ]
 
 
