@@ -709,14 +709,18 @@ def ref_lhv_statistics(trials: int, master_seed: int) -> LhvReport:
     )
 
 
-def ref_generalized_elements(trials: int, master_seed: int) -> GeneralizedElementsReport:
+def ref_generalized_elements(
+    trials: int, master_seed: int, pre: StateVector | None = None
+) -> GeneralizedElementsReport:
+    """The generalized-elements report on ``pre`` (a plain GHZ state by default), pattern by pattern."""
+    pre = plain_ghz() if pre is None else pre
     streams = RefTrialStreams(master_seed, 1)
     checks = []
     for k, pattern in enumerate(PATTERNS):
         matches = 0
         for i in range(trials):
             _, (rnd,) = streams.trial(k * trials + i)
-            state, product = plain_ghz(), 1
+            state, product = pre, 1
             for site, axis in enumerate(pattern.axes):
                 outcome, state = ref_measure_pauli(state, site, axis, rnd)
                 product *= outcome

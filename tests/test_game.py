@@ -22,8 +22,10 @@ from ghzlab.game import (
     theoretical_win_rate,
     wins,
 )
+from ghzlab import teleport
+from ghzlab.lhv import lhv_statistics
 from ghzlab.prepost import generalized_elements_check
-from ghzlab.qsim import Axis, make_ghz
+from ghzlab.qsim import Axis, StateVector, make_ghz
 
 import oracle
 
@@ -383,6 +385,29 @@ def test_run_experiment_rejects_bad_trials():
         run_experiment(quantum_strategy(), 0, 0)
 
 
+def no_record(rec):
+    raise AssertionError(f"record made: {rec}")
+
+
+SEEDED_RUNS = {
+    "run_experiment": lambda trials: run_experiment(quantum_strategy(), trials, 0, no_record),
+    "lhv_statistics": lambda trials: lhv_statistics(trials, 0, no_record),
+    "teleport.run_trials": lambda trials: teleport.run_trials(trials, 0, no_record),
+    "generalized_elements_check": lambda trials: generalized_elements_check(make_ghz(), trials, 0),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("run", SEEDED_RUNS.values(), ids=SEEDED_RUNS.keys())
+def test_every_seeded_run_rejects_too_few_trials_before_building_streams(monkeypatch, run, trials):
+    def no_streams(self, *args):
+        raise AssertionError("streams built")
+
+    monkeypatch.setattr(TrialStreams, "__init__", no_streams)
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        run(trials)
+
+
 def test_no_detection_sentinel_repr():
     assert repr(NO_DETECTION) == "NO_DETECTION"
 
@@ -535,6 +560,18 @@ def test_quantum_experiment_matches_reference_loop(eta, trials, seed):
 @pytest.mark.parametrize("trials, seed", [(1, 4), (300, 11)])
 def test_generalized_elements_match_reference_loop(trials, seed):
     assert generalized_elements_check(make_ghz(), trials, seed) == oracle.ref_generalized_elements(trials, seed)
+
+
+def test_generalized_elements_match_reference_loop_off_ghz():
+    # on a W state no pattern's product is fixed, so every count depends on
+    # which stream each trial of each pattern draws
+    w = np.zeros(8, dtype=complex)
+    w[[1, 2, 4]] = 1 / np.sqrt(3)
+    pre = StateVector(3, w)
+    report = generalized_elements_check(pre, 300, 11)
+    assert report == oracle.ref_generalized_elements(300, 11, pre)
+    assert all(0 < check.matches < check.trials for check in report.checks)
+    assert len({check.matches for check in report.checks}) > 1
 
 
 def shared_nodes(state) -> int:
