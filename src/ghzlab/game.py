@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -267,6 +267,16 @@ class TrialStreams:
         return (self._key0 ^ ((index * _GOLDEN_GAMMA) & 0xFFFFFFFFFFFFFFFF)), self._gens
 
 
+def _trials(trials: int, master_seed: int, roles: int) -> Iterator[tuple[int, int, tuple]]:
+    """The one loop over trial indices: ``(i, trial_seed, gens)``, after checking ``trials``."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    trial = TrialStreams(master_seed, roles).trial
+    for i in range(trials):
+        trial_seed, gens = trial(i)
+        yield i, trial_seed, gens
+
+
 _ROLE_REFEREE, _ROLE_SETUP, _ROLE_A, _ROLE_B, _ROLE_C = range(5)
 
 
@@ -295,8 +305,8 @@ class ExperimentReport:
 def _report_fields(counts: Counter, scored: Callable[[int, bool], bool], master_seed: int) -> dict:
     """The ``ExperimentReport`` fields of a run's counts, scoring trials that pass ``scored``.
 
-    ``counts`` is ``_play``'s; ``scored(detections, win)`` tells whether a
-    trial with that many detecting players and that verdict counts as won.
+    ``counts`` is ``_play``'s tally over ``_trials``; ``scored(detections, win)``
+    tells whether a trial with that many detecting players and that verdict counts as won.
     """
     trials, hits = Counter(), Counter()
     triple = 0
@@ -327,21 +337,17 @@ def _play(
     master_seed: int,
     record_sink: Callable[[TrialRecord], None] | None,
 ) -> Counter:
-    """The one trial loop: play seeded rounds, count them, pass records on.
+    """Play seeded rounds through ``_trials``, count them, pass records on.
 
     Each trial adds one to ``counts[pattern, detections, win]``: its question
     pattern, how many of the three players detected, and whether the answer
     product hit the target.  Every report is read from these counts.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    streams = TrialStreams(master_seed, 5)
     counts = Counter()
     answer = strategy.answer
     eta = strategy.eta
     lossy = eta < 1.0  # no detection coin at eta == 1, so a lossless copy draws as the bare strategy
-    for i in range(trials):
-        trial_seed, gens = streams.trial(i)
+    for i, trial_seed, gens in _trials(trials, master_seed, 5):
         shared = strategy.setup(gens[_ROLE_SETUP])
         pattern = draw_pattern(gens[_ROLE_REFEREE])
         axes = pattern.axes

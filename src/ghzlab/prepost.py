@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import PATTERNS, QuestionPattern, TrialStreams
+from .game import PATTERNS, QuestionPattern, _trials
 from .qsim import (
     Axis,
     MIN_BRANCH_PROB,
@@ -291,26 +291,19 @@ def generalized_elements_check(
 
     For each question pattern, runs sequential projective measurements on
     the three sites and counts how often the outcome product equals the
-    pattern target.  On a GHZ preparation every run matches.
+    pattern target; pattern ``k`` plays trials ``k * trials`` to
+    ``(k + 1) * trials - 1``.  On a GHZ preparation every run matches.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    streams = TrialStreams(master_seed, 1)
-    checks = []
-    for k, pattern in enumerate(PATTERNS):
-        axes = pattern.axes
-        matches = 0
-        for i in range(trials):
-            _, (rnd,) = streams.trial(k * trials + i)
-            state = pre
-            product = 1
-            for site in range(3):
-                outcome, state = measure_pauli(state, site, axes[site], rnd)
-                product *= outcome
-            matches += product == pattern.target
-        checks.append(
-            PatternCheck(pattern=pattern, trials=trials, target=pattern.target, matches=matches)
-        )
+    matches = [0] * len(PATTERNS)
+    for i, _, (rnd,) in _trials(len(PATTERNS) * trials, master_seed, 1):
+        k = i // trials
+        pattern = PATTERNS[k]
+        state, product = pre, 1
+        for site, axis in enumerate(pattern.axes):
+            outcome, state = measure_pauli(state, site, axis, rnd)
+            product *= outcome
+        matches[k] += product == pattern.target
+    checks = (PatternCheck(p, trials, p.target, n) for p, n in zip(PATTERNS, matches))
     return GeneralizedElementsReport(tuple(checks))
 
 

@@ -40,7 +40,7 @@ TEAMS = (
     ("--strategy", "quantum", "--eta", "0.8"),
     ("--strategy", "quantum", "--eta", "0.9"),
 )
-TABLES = (("1", "1", "1", "1", "-1", "1"), ("-1", "+1", "1", "-1", "-1", "-1"))
+ANSWER_TABLES = (("1", "1", "1", "1", "-1", "1"), ("-1", "+1", "1", "-1", "-1", "-1"))
 
 
 def _seeded() -> list[tuple[str, ...]]:
@@ -66,7 +66,7 @@ def _tables() -> list[tuple[str, ...]]:
     return [
         ("game", "--strategy", "classical-table", "--table", *table, "--trials", "500",
          "--seed", "7", "--format", fmt)
-        for table in TABLES
+        for table in ANSWER_TABLES
         for fmt in ("text", "json", "jsonl")
     ]
 

@@ -712,7 +712,7 @@ def ref_lhv_statistics(trials: int, master_seed: int) -> LhvReport:
 def ref_generalized_elements(
     trials: int, master_seed: int, pre: StateVector | None = None
 ) -> GeneralizedElementsReport:
-    """The generalized-elements report on ``pre`` (a plain GHZ state by default), pattern by pattern."""
+    """The generalized-elements report on ``pre``, a plain GHZ state by default."""
     pre = plain_ghz() if pre is None else pre
     streams = RefTrialStreams(master_seed, 1)
     checks = []
