@@ -625,6 +625,8 @@ def _validate_common(args) -> None:
     eta = getattr(args, "eta", None)
     if eta is not None and not 0.0 <= eta <= 1.0:
         raise CliError("--eta must lie in [0, 1]")
+    if getattr(args, "out", None) == "":  # realpath('') is the working directory
+        raise CliError("--out needs a file path, got an empty one")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

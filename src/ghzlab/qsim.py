@@ -8,8 +8,10 @@ Conventions, fixed here and relied on by every other module:
 * Pauli phases: ``sigma_y |up> = i |down>`` and ``sigma_y |down> = -i |up>``.
 * Bell basis: ``Phi+- = (|uu> +- |dd>)/sqrt2`` and ``Psi+- = (|ud> +- |du>)/
   sqrt2``, where the first arrow belongs to the first site of the measured
-  pair as passed to :func:`bell_measure`.  Each :class:`BellIndex` member
-  holds its two nonzero components; the Pauli eigenvectors are ``_EIGVEC``.
+  pair as passed to :func:`bell_measure`.
+* Basis outcomes: ``_PAULI_BASIS`` and ``BellIndex.outcome`` hold ``(scale,
+  ((p, u), ...))``, the component ``u * scale`` at each value p of the
+  measured sites in ``_split``'s grouping, the first ``u`` being 1.
 
 States are value objects: amplitude buffers are marked read-only, so a
 state can be shared.  ``make_ghz()`` and ``teleport.build_setup()`` return
@@ -50,35 +52,37 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 class BellIndex(Enum):
     """The four maximally entangled two-site basis states.
 
-    Each member carries its display ``label`` and its two nonzero, real
-    ``terms`` ``(p, component)``, over the pair value p = bit(s1) + 2*bit(s2)
-    in ascending p.  ``value`` is the name written to JSON.
+    Each member carries its display ``label`` and its basis ``outcome``
+    (see the module notes) over the pair value p = bit(s1) + 2*bit(s2),
+    its two terms in ascending p.  ``value`` is the name written to JSON.
     """
 
-    PHI_PLUS = ("phi_plus", "Phi+", ((0, _SQRT1_2), (3, _SQRT1_2)))
-    PHI_MINUS = ("phi_minus", "Phi-", ((0, _SQRT1_2), (3, -_SQRT1_2)))
-    PSI_PLUS = ("psi_plus", "Psi+", ((1, _SQRT1_2), (2, _SQRT1_2)))
-    PSI_MINUS = ("psi_minus", "Psi-", ((1, -_SQRT1_2), (2, _SQRT1_2)))
+    PHI_PLUS = ("phi_plus", "Phi+", (_SQRT1_2, ((0, 1), (3, 1))))
+    PHI_MINUS = ("phi_minus", "Phi-", (_SQRT1_2, ((0, 1), (3, -1))))
+    PSI_PLUS = ("psi_plus", "Psi+", (_SQRT1_2, ((1, 1), (2, 1))))
+    PSI_MINUS = ("psi_minus", "Psi-", (-_SQRT1_2, ((1, 1), (2, -1))))
 
     __hash__ = object.__hash__
 
-    def __new__(cls, value: str, label: str, terms: tuple[tuple[int, float], ...]):
+    def __new__(cls, value: str, label: str, outcome: tuple):
         member = object.__new__(cls)
         member._value_ = value
         member.label = label
-        member.terms = terms
+        member.outcome = outcome
         return member
 
 
-# Components of the +1/-1 eigenvectors of each axis in the z basis.
-_EIGVEC = {
-    (Axis.X, 1): (_SQRT1_2, _SQRT1_2),
-    (Axis.X, -1): (_SQRT1_2, -_SQRT1_2),
-    (Axis.Y, 1): (_SQRT1_2, 1j * _SQRT1_2),
-    (Axis.Y, -1): (_SQRT1_2, -1j * _SQRT1_2),
-    (Axis.Z, 1): (1.0 + 0j, 0j),
-    (Axis.Z, -1): (0j, 1.0 + 0j),
-}
+class _AxisTable(dict):
+    def __missing__(self, axis):  # any key but an Axis
+        raise ValueError(f"axis must be an Axis, got {axis!r}")
+
+
+# The +1 and -1 eigenstates of each axis over the site's bit, as basis outcomes.
+_PAULI_BASIS = _AxisTable({
+    Axis.X: ((_SQRT1_2, ((0, 1), (1, 1))), (_SQRT1_2, ((0, 1), (1, -1)))),
+    Axis.Y: ((_SQRT1_2, ((0, 1), (1, 1j))), (_SQRT1_2, ((0, 1), (1, -1j)))),
+    Axis.Z: ((1.0, ((0, 1),)), (1.0, ((1, 1),))),
+})
 
 class StateVector:
     """Normalized pure state of ``num_sites`` two-level systems, holding a frozen copy of ``amps``."""
@@ -133,13 +137,13 @@ class _SharedState(StateVector):
     It shares the frozen buffer of ``state``, which is already normalized:
     a root was validated by :class:`StateVector`, a child is a projection.
     ``memo`` maps each Pauli ``(site, axis)`` and Bell pair ``(s1, s2)``
-    measured on it to ``[picker, *children]``: the :func:`_picker` of the
-    Born weights, each outcome weighed by its own overlap, then one branch
-    per outcome, the outcome's projection, built the first time it is drawn
-    and kept; a dead branch stays ``None``.  Only sites not yet ``measured``
-    on the path from the root get an entry and shared branches, which
-    bounds the tree, so a memo hit is one lookup; measuring a site again
-    gives a plain state.
+    measured on it to ``[picker, *children]``, which :func:`_sample` stores:
+    the :func:`_picker` of the Born weights, each outcome weighed once by
+    its own overlap, then one branch per outcome, the outcome's projection,
+    built the first time it is drawn and kept; a dead branch stays
+    ``None``.  Only sites not yet ``measured`` on the path from the root get
+    an entry and shared branches, which bounds the tree, so a memo hit is
+    one lookup; measuring a site again gives a plain state.
     """
 
     __slots__ = ("memo", "measured")
@@ -149,12 +153,6 @@ class _SharedState(StateVector):
         self.amps = state.amps
         self.memo = {}
         self.measured = measured
-
-    def keep(self, key: tuple, entry: list, k: int, sites: tuple[int, ...], branch: StateVector):
-        """Keep ``entry`` for ``key``, and ``branch``, collapsed on ``sites``, as child ``k``."""
-        self.memo[key] = entry
-        child = entry[k + 1] = _SharedState(branch, self.measured.union(sites))
-        return child
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,8 @@ def pauli_eigenstate(axis: Axis, sign: int) -> StateVector:
     """Single-site eigenstate of a Pauli axis with eigenvalue ``sign``."""
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be int +1 or -1, got {sign!r}")
-    return StateVector(1, _EIGVEC[(axis, sign)])
+    scale, terms = _PAULI_BASIS[axis][sign == -1]
+    return StateVector(1, [dict(terms).get(p, 0) * scale for p in (0, 1)])
 
 
 @lru_cache(maxsize=1)
@@ -267,8 +266,14 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 def _split(n: int, sites: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Basis indices grouped by p = sum of bit(sites[j]) << j, in ascending p.
 
-    For a pair (s1, s2), p is the pair value bit(s1) + 2*bit(s2).
+    For a pair (s1, s2), p is the pair value bit(s1) + 2*bit(s2).  The sites
+    are checked here, once per site count and sites, as the split is cached.
     """
+    if len(set(sites)) != len(sites):
+        raise ValueError("sites must be pairwise distinct")
+    for site in sites:
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} sites")
     idx = np.arange(1 << n)
     base = idx[(idx & sum(1 << s for s in sites)) == 0]
     groups = tuple(
@@ -330,6 +335,7 @@ def _apply_factors(amps: np.ndarray, n: int, factors: Iterable[tuple[int, Axis]]
 
 _OUTCOMES = (1, -1)
 _BELL_ORDER = tuple(BellIndex)
+_BELL_OUTCOMES = tuple(which.outcome for which in _BELL_ORDER)
 
 
 def _picker(weights: Sequence[float]) -> tuple:
@@ -360,20 +366,61 @@ def _draw(rnd: RandomSource, picker: tuple) -> int:
     return last
 
 
-def _site_overlap(amps: np.ndarray, n: int, site: int, axis: Axis, outcome: int) -> np.ndarray:
-    """Overlap field <outcome eigenstate|psi> over the remaining sites."""
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} sites")
-    if type(axis) is not Axis:
-        raise ValueError(f"axis must be an Axis, got {axis!r}")
-    i0, i1 = _split(n, (site,))
-    a0 = amps[i0]
-    a1 = amps[i1]
-    if axis is Axis.Z:
-        return a0.copy() if outcome == 1 else a1.copy()
-    if axis is Axis.X:
-        return (a0 + a1) * _SQRT1_2 if outcome == 1 else (a0 - a1) * _SQRT1_2
-    return (a0 - 1j * a1) * _SQRT1_2 if outcome == 1 else (a0 + 1j * a1) * _SQRT1_2
+def _overlap(state: StateVector, sites: tuple[int, ...], outcome: tuple) -> np.ndarray:
+    """Overlap field <outcome|state> on the other sites: parts added or subtracted by unit, then scaled."""
+    scale, terms = outcome
+    amps = state.amps
+    groups = _split(state.num_sites, sites)
+    field = amps[groups[terms[0][0]]]
+    for q, u in terms[1:]:
+        part = amps[groups[q]]
+        if u == 1:
+            field = field + part
+        elif u == -1:
+            field = field - part
+        else:  # conj(+-i) * part = -+(i * part)
+            field = field - 1j * part if u == 1j else field + 1j * part
+    return field * scale if len(terms) > 1 else field  # a lone term has scale 1
+
+
+def _collapse(state: StateVector, sites: tuple, outcome: tuple, field: np.ndarray, p: float) -> StateVector:
+    """Collapse onto ``outcome``: its ``field`` of weight ``p`` times ``u * scale / sqrt(p)`` at each p."""
+    n = state.num_sites
+    scale, terms = outcome
+    c = scale * (1.0 / math.sqrt(p))  # for a unit u, u * c is exactly (u * scale) * (1 / sqrt(p))
+    groups = _split(n, sites)
+    out = np.zeros(1 << n, dtype=complex)
+    for q, u in terms:
+        out[groups[q]] = (u * c) * field
+    return StateVector._renormalized(n, out)
+
+
+def _project(state: StateVector, sites: tuple, outcome: tuple) -> tuple[float, StateVector | None]:
+    """Probability of a basis outcome on ``sites`` and the collapse, ``None`` below ``MIN_BRANCH_PROB``."""
+    field = _overlap(state, sites, outcome)
+    p = float(np.vdot(field, field).real)
+    if p < MIN_BRANCH_PROB:
+        return 0.0, None
+    return p, _collapse(state, sites, outcome, field, p)
+
+
+def _sample(
+    state: StateVector, key: tuple, sites: tuple, outcomes: tuple, labels: tuple,
+    rnd: RandomSource, entry: list | None, k: int | None,
+) -> tuple:
+    """A memo miss, or ``entry``'s unbuilt child ``k``: the drawn label and its branch, kept when shared."""
+    if entry is None:
+        fields = [_overlap(state, sites, o) for o in outcomes]
+        entry = [_picker([float(np.vdot(f, f).real) for f in fields])] + [None] * len(outcomes)
+        k = _draw(rnd, entry[0])
+        field = fields[k]
+    else:
+        field = _overlap(state, sites, outcomes[k])
+    branch = _collapse(state, sites, outcomes[k], field, entry[0][3][k])
+    if type(state) is _SharedState and state.measured.isdisjoint(sites):
+        state.memo[key] = entry
+        branch = entry[k + 1] = _SharedState(branch, state.measured.union(sites))
+    return labels[k], branch
 
 
 def measure_pauli(
@@ -381,26 +428,17 @@ def measure_pauli(
 ) -> tuple[int, StateVector]:
     """Projectively measure one Pauli axis on one site.
 
-    Returns the sampled outcome (+1 or -1) and the renormalized collapsed
-    state.  The input state is not modified.  The returned state may be
-    shared: on a shared state (see :class:`_SharedState`) the Born picker
-    and each collapsed branch are computed once and kept, and later calls
-    draw with the same picker and return the same branch.  No other state
-    keeps anything.  Each outcome is weighed by its own overlap, and the
-    branch returned is the one :func:`pauli_project` gives for the outcome.
+    Returns the sampled outcome (+1 or -1) and the collapsed state, the
+    branch :func:`pauli_project` gives for it; the input is not modified.
+    Each outcome is weighed by its own overlap.  A shared state (see
+    :class:`_SharedState`) keeps the Born picker and each branch, so later
+    calls return the same branch; no other state keeps anything.
     """
-    shared = type(state) is _SharedState
-    entry = state.memo.get((site, axis)) if shared else None
-    if entry is None:  # only a miss asks whether the site is unmeasured
-        shared = shared and site not in state.measured
-        overlaps = [_site_overlap(state.amps, state.num_sites, site, axis, o) for o in _OUTCOMES]
-        entry = [_picker([float(np.vdot(c, c).real) for c in overlaps]), None, None]
-    k = _draw(rnd, entry[0])
-    outcome = _OUTCOMES[k]
-    if entry[k + 1] is not None:
-        return outcome, entry[k + 1]
-    _, branch = pauli_project(state, site, axis, outcome)
-    return outcome, state.keep((site, axis), entry, k, (site,), branch) if shared else branch
+    entry = state.memo.get((site, axis)) if type(state) is _SharedState else None
+    k = None if entry is None else _draw(rnd, entry[0])
+    if k is None or entry[k + 1] is None:
+        return _sample(state, (site, axis), (site,), _PAULI_BASIS[axis], _OUTCOMES, rnd, entry, k)
+    return _OUTCOMES[k], entry[k + 1]
 
 
 def pauli_project(
@@ -413,17 +451,7 @@ def pauli_project(
     """
     if type(outcome) is not int or outcome not in (1, -1):
         raise ValueError(f"outcome must be int +1 or -1, got {outcome!r}")
-    n = state.num_sites
-    coeff = _site_overlap(state.amps, n, site, axis, outcome)
-    p = float(np.vdot(coeff, coeff).real)
-    if p < MIN_BRANCH_PROB:
-        return 0.0, None
-    inv = 1.0 / math.sqrt(p)
-    out = np.zeros(1 << n, dtype=complex)
-    for v, group in zip(_EIGVEC[(axis, outcome)], _split(n, (site,))):
-        if v:
-            out[group] = (v * inv) * coeff
-    return p, StateVector._renormalized(n, out)
+    return _project(state, (site,), _PAULI_BASIS[axis][outcome == -1])
 
 
 def _product_branch(state: StateVector, obs: ProductObservable, outcome: int) -> np.ndarray:
@@ -465,36 +493,11 @@ def expectation_product(state: StateVector, obs: ProductObservable) -> float:
     return float(value.real)
 
 
-def _bell_overlaps(
-    state: StateVector, s1: int, s2: int, outcomes: Sequence[BellIndex]
-) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
-    """Index groups of the pair (s1, s2), and each outcome's overlap field over the other sites."""
-    n = state.num_sites
-    if s1 == s2:
-        raise ValueError("Bell measurement needs two distinct sites")
-    if not (0 <= s1 < n and 0 <= s2 < n):
-        raise ValueError(f"sites ({s1}, {s2}) out of range for {n} sites")
-    groups = _split(n, (s1, s2))
-    parts = [state.amps[g] for g in groups]
-    return groups, [
-        cp.conjugate() * parts[p] + cq.conjugate() * parts[q]
-        for (p, cp), (q, cq) in (which.terms for which in outcomes)
-    ]
-
-
 def bell_project(
     state: StateVector, s1: int, s2: int, which: BellIndex
 ) -> tuple[float, StateVector | None]:
     """Probability of one Bell outcome on sites (s1, s2) and the collapse."""
-    groups, (coeff,) = _bell_overlaps(state, s1, s2, (which,))
-    p = float(np.vdot(coeff, coeff).real)
-    if p < MIN_BRANCH_PROB:
-        return 0.0, None
-    coeff = coeff / math.sqrt(p)
-    out = np.zeros(1 << state.num_sites, dtype=complex)
-    for q, c in which.terms:
-        out[groups[q]] = c * coeff
-    return p, StateVector._renormalized(state.num_sites, out)
+    return _project(state, (s1, s2), which.outcome)
 
 
 def bell_measure(
@@ -506,18 +509,11 @@ def bell_measure(
     collapsed, as :func:`bell_project` collapses it; a shared state keeps
     the picker and each branch, as in :func:`measure_pauli`.
     """
-    shared = type(state) is _SharedState
-    entry = state.memo.get((s1, s2)) if shared else None
-    if entry is None:  # only a miss asks whether the pair is unmeasured
-        shared = shared and state.measured.isdisjoint((s1, s2))
-        _, overlaps = _bell_overlaps(state, s1, s2, _BELL_ORDER)
-        entry = [_picker([float(np.vdot(c, c).real) for c in overlaps]), None, None, None, None]
-    k = _draw(rnd, entry[0])
-    which = _BELL_ORDER[k]
-    if entry[k + 1] is not None:
-        return which, entry[k + 1]
-    _, branch = bell_project(state, s1, s2, which)
-    return which, state.keep((s1, s2), entry, k, (s1, s2), branch) if shared else branch
+    entry = state.memo.get((s1, s2)) if type(state) is _SharedState else None
+    k = None if entry is None else _draw(rnd, entry[0])
+    if k is None or entry[k + 1] is None:
+        return _sample(state, (s1, s2), (s1, s2), _BELL_OUTCOMES, _BELL_ORDER, rnd, entry, k)
+    return _BELL_ORDER[k], entry[k + 1]
 
 
 def results_weight(state: StateVector, results: Sequence[tuple[int, Axis, int]]) -> float:

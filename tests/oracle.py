@@ -45,6 +45,7 @@ from ghzlab.qsim import (
     BellIndex,
     ProductObservable,
     StateVector,
+    _SharedState,
     bell_measure,
     make_ghz,
     measure_pauli,
@@ -380,10 +381,14 @@ def ref_solve_enumerate(system: ParitySystem):
 # and product measurements, and a Bell measurement that builds all four
 # collapsed states and keeps one.  Seeded-equality tests compare the package
 # against these, outcome by outcome, amplitude by amplitude and draw by draw.
-# The index tables and the single-site overlap below are the oracle's own,
-# the tables built bit by bit and cached, as they are only read; the overlap
-# repeats the package's arithmetic term for term, so the two agree exactly.
-# The product measurement applies its observable as a dense matrix.
+# The index tables below are the oracle's own, built bit by bit and cached,
+# as they are only read.  The arithmetic repeats the package's one form for
+# every basis outcome, so the two agree exactly: ``site_overlap`` and
+# ``ref_bell_project`` add or subtract the parts by sign, a y outcome's second
+# part turned by -i first, then scale; ``_ref_site_collapse`` and ``ref_bell_project``
+# multiply the overlap by each component times the reciprocal root of the
+# weight.  Both start from the dense ``EIGVEC`` and ``BELL_VECTORS``.  The
+# product measurement applies its observable as a dense matrix.
 
 
 @lru_cache(maxsize=None)
@@ -448,18 +453,25 @@ def ref_measure_product(state, obs, rnd):
 
 
 def ref_bell_project(state, s1, s2, which):
+    """The overlap and collapse of a real Bell vector with two nonzero components.
+
+    The overlap adds or subtracts the two parts, as the components' signs
+    agree or not, and scales by the first component; the collapse scales
+    the overlap by each component over the root of the weight.
+    """
     n = state.num_sites
     groups = pair_indices(n, s1, s2)
     v = BELL_VECTORS[which.value]
-    coeff = sum(np.conj(v[p]) * state.amps[groups[p]] for p in range(4))
+    first, second = np.flatnonzero(v)
+    a, b = state.amps[groups[first]], state.amps[groups[second]]
+    coeff = (a + b if v[second] == v[first] else a - b) * v[first].real
     p = float(np.vdot(coeff, coeff).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
-    coeff = coeff / math.sqrt(p)
+    inv = 1.0 / math.sqrt(p)
     out = np.zeros_like(state.amps)
-    for q in range(4):
-        if v[q] != 0:
-            out[groups[q]] = v[q] * coeff
+    for q in (first, second):
+        out[groups[q]] = (v[q].real * inv) * coeff
     return p, StateVector(n, out)
 
 
@@ -561,23 +573,27 @@ def _grow(state, steps) -> None:
             _grow(branch, rest)
 
 
-def tree_pickers() -> list[tuple]:
-    """Every Born picker of the GHZ and nine-site trees, with every branch the commands reach built.
+def grow_trees() -> tuple:
+    """Fresh copies of the GHZ and nine-site roots, with every branch the commands reach built.
 
     The game measures the detected sites of a pattern in site order, and
     teleport the three Bell pairs, then the remote sites on the pattern's axes.
+    Being fresh, the trees hold nothing that other callers measured.
     """
+    ghz, setup = _SharedState(make_ghz()), _SharedState(build_setup())
     for pattern in PATTERNS:
         for n in (1, 2, 3):
             for sites in itertools.combinations(range(3), n):
-                _grow(make_ghz(), [(measure_pauli, site, pattern.axes[site]) for site in sites])
+                _grow(ghz, [(measure_pauli, site, pattern.axes[site]) for site in sites])
         bells = [(bell_measure, *pair) for pair in BELL_PAIRS]
-        _grow(build_setup(), bells + [(measure_pauli, *step) for step in zip(REMOTE_SITES, pattern.axes)])
+        _grow(setup, bells + [(measure_pauli, *step) for step in zip(REMOTE_SITES, pattern.axes)])
+    return ghz, setup
+
+
+def tree_pickers() -> list[tuple]:
+    """Every Born picker of the GHZ and nine-site trees of ``grow_trees``."""
     return [
-        entry[0]
-        for root in (make_ghz(), build_setup())
-        for node in tree_nodes(root)
-        for entry in node.memo.values()
+        entry[0] for root in grow_trees() for node in tree_nodes(root) for entry in node.memo.values()
     ]
 
 

@@ -364,6 +364,21 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("game", "--trials", "5"),
+    ("sweep", "--grid", "1", "--trials", "5"),
+    ("prove", "classical", "--format", "json"),
+    ("teleport", "--trials", "5"),
+    ("elements", "1", "1", "-1"),
+], ids=lambda argv: argv[0])
+def test_empty_out_is_rejected_by_name(tmp_path, monkeypatch, capsys, argv):
+    # '' once resolved to the working directory: "cannot write : Is a directory"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert (code, out, err) == (1, "", "error: --out needs a file path, got an empty one\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_writes_through_symlink(tmp_path, capsys):
     target = tmp_path / "report.json"
     target.write_text("earlier report\n")

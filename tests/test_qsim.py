@@ -1,3 +1,5 @@
+import hashlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from ghzlab import qsim
 from ghzlab.qsim import (
-    _EIGVEC,
     ATOL_EXACT,
     MIN_BRANCH_PROB,
     Axis,
@@ -33,6 +34,7 @@ from ghzlab.qsim import (
     results_weight,
     tensor_product,
 )
+from ghzlab.teleport import build_setup
 
 import oracle
 
@@ -83,20 +85,29 @@ def test_bell_basis_orthonormal():
     assert np.allclose(gram, np.eye(4), atol=1e-12)
 
 
+def expand(outcome, size: int) -> np.ndarray:
+    """A basis outcome ``(scale, ((p, u), ...))`` as its dense vector over the measured sites."""
+    scale, terms = outcome
+    assert terms[0][1] == 1 and [p for p, _ in terms] == sorted({p for p, _ in terms})
+    dense = np.zeros(size, dtype=complex)
+    for p, u in terms:
+        dense[p] = u * scale
+    return dense
+
+
 def test_bell_members_expand_to_the_oracle_vectors():
     for b in BellIndex:
-        dense = np.zeros(4, dtype=complex)
-        for p, c in b.terms:
-            dense[p] = c
-        assert np.array_equal(dense, oracle.BELL_VECTORS[b.value]), b
+        assert np.array_equal(expand(b.outcome, 4), oracle.BELL_VECTORS[b.value]), b
     assert [b.label for b in BellIndex] == ["Phi+", "Phi-", "Psi+", "Psi-"]
     assert BellIndex("psi_minus") is BellIndex.PSI_MINUS
 
 
 @pytest.mark.parametrize("axis", list(Axis))
 @pytest.mark.parametrize("outcome", [1, -1])
-def test_eigvec_is_unit_eigenvector(axis, outcome):
-    v = np.array(_EIGVEC[(axis, outcome)], dtype=complex)
+def test_pauli_basis_expands_to_unit_eigenvectors(axis, outcome):
+    v = expand(qsim._PAULI_BASIS[axis][(1, -1).index(outcome)], 2)
+    assert np.array_equal(v, oracle.EIGVEC[(axis, outcome)])
+    assert np.array_equal(pauli_eigenstate(axis, outcome).amps, v)
     assert abs(np.vdot(v, v).real - 1.0) < 1e-12
     assert np.allclose(oracle.PAULI[axis.value] @ v, outcome * v, rtol=0, atol=1e-12)
 
@@ -409,8 +420,20 @@ def test_bell_measure_on_shared_ghz_keeps_its_branches():
 
 
 def test_bell_measure_needs_distinct_sites():
-    with pytest.raises(ValueError):
-        bell_measure(make_ghz(), 1, 1, np.random.default_rng(0))
+    shared = make_ghz()
+    stored = dict(shared.memo)
+    for s1, s2, message in (
+        (1, 1, "sites must be pairwise distinct"),
+        (0, 3, "site 3 out of range for 3 sites"),
+        (-1, 2, "site -1 out of range for 3 sites"),
+        (7, 0, "site 7 out of range for 3 sites"),
+    ):
+        for state in (shared, oracle.plain_ghz()):
+            with pytest.raises(ValueError, match=message):
+                bell_measure(state, s1, s2, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=message):
+                bell_project(state, s1, s2, BellIndex.PHI_PLUS)
+    assert shared.memo == stored  # a rejected pair stores nothing
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +882,69 @@ def test_prepared_picker_equals_running_sum_pick(weights, seed):
 
 def test_draw_equals_running_sum_pick_at_every_cut_of_both_trees():
     pickers = oracle.tree_pickers()
-    assert len(pickers) >= 1731  # 46 in the GHZ tree, 1685 in the nine-site tree
+    assert len(pickers) == 1731  # 46 in the GHZ tree, 1685 in the nine-site tree
     for picker in pickers:
         for u in oracle.boundary_uniforms(picker):
             got = _draw(oracle.FixedDraw(u), picker)
             assert got == oracle.ref_pick(oracle.FixedDraw(u), picker[3]), (u, picker)
+
+
+# sha256 of both trees as ``grow_trees`` builds them, taken before Pauli and
+# Bell outcomes shared one measurement kernel: every picker's total, cuts,
+# default and weights, floats by ``float.hex``, and every node's amplitudes
+# with -0.0 written as 0.0.  Equal pickers put every cut, at any seed, where
+# it was; equal nodes are the same branches, value for value.
+TREE_PICKERS_SHA256 = "2dff8ed6822d232d33cd859d4092ab6fc612da942fdb39509f2225d96d839b93"
+TREE_NODES_SHA256 = "93bbee2be2068dfedef1539e7164b5131eacd0868638a093ea066306c4089d9a"
+
+
+def test_tree_pickers_and_branches_are_pinned():
+    pickers, nodes = hashlib.sha256(), hashlib.sha256()
+    for node in (node for root in oracle.grow_trees() for node in oracle.tree_nodes(root)):
+        for total, cuts, last, weights in (entry[0] for entry in node.memo.values()):
+            cut_text = " ".join(f"{acc.hex()}:{k}" for acc, k in cuts)
+            weight_text = " ".join(w.hex() for w in weights)
+            pickers.update(f"{total.hex()} | {cut_text} | {last} | {weight_text}\n".encode())
+        nodes.update((node.amps + 0.0).tobytes())  # -0.0 + 0.0 is 0.0
+    assert pickers.hexdigest() == TREE_PICKERS_SHA256
+    assert nodes.hexdigest() == TREE_NODES_SHA256
+
+
+def test_a_miss_weighs_each_outcome_once():
+    rnd = np.random.default_rng(6)
+    for measure, state, calls in (
+        (lambda psi: measure_pauli(psi, 0, Axis.Y, rnd), oracle.plain_ghz(), 2),
+        (lambda psi: bell_measure(psi, 0, 3, rnd), StateVector(9, build_setup().amps), 4),
+    ):
+        with mock.patch.object(qsim, "_overlap", wraps=qsim._overlap) as overlap:
+            measure(state)
+        assert overlap.call_count == calls
+    root = qsim._SharedState(make_ghz())
+    assert measure_pauli(root, 0, Axis.X, oracle.FixedDraw(0.0))[0] == 1  # weighs both, keeps +1
+    with mock.patch.object(qsim, "_overlap", wraps=qsim._overlap) as overlap:
+        # a hit whose drawn child is not built yet weighs that outcome alone
+        outcome, branch = measure_pauli(root, 0, Axis.X, oracle.TopDraw())
+        assert (outcome, overlap.call_count) == (-1, 1)
+        assert measure_pauli(root, 0, Axis.X, oracle.TopDraw()) == (-1, branch)
+        assert overlap.call_count == 1
+
+
+def test_memo_hit_calls_only_lookup_and_draw():
+    ghz, setup = qsim._SharedState(make_ghz()), qsim._SharedState(build_setup())
+    calls = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(arg.__name__ if event == "c_call" else frame.f_code.co_name)
+
+    for measure, args in ((measure_pauli, (ghz, 1, Axis.X)), (bell_measure, (setup, 0, 3))):
+        rnd = oracle.FixedDraw(0.0)
+        measure(*args, rnd)  # stores the picker and the branch drawn below
+        sys.setprofile(profile)
+        measure(*args, rnd)
+        sys.setprofile(None)
+        assert calls == [measure.__name__, "get", "_draw", "random", "setprofile"]
+        calls.clear()
 
 
 @settings(deadline=None, max_examples=150)
