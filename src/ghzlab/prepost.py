@@ -60,18 +60,14 @@ class PrePostEnsemble:
     """A preparation plus a list of later single-site results.
 
     ``post`` entries are (site, axis, outcome) with pairwise distinct
-    sites; the joint post outcome must be reachable from the preparation.
+    sites; :func:`results_weight` checks them all, with qsim's messages,
+    and the joint post outcome must be reachable from the preparation.
     """
 
     pre: StateVector
     post: tuple[tuple[int, Axis, int], ...]
 
     def __post_init__(self):
-        for site, axis, outcome in self.post:
-            if not 0 <= site < self.pre.num_sites:
-                raise ValueError(f"post site {site} out of range")
-            if type(outcome) is not int or outcome not in (1, -1):
-                raise ValueError(f"post outcome must be int +1 or -1, got {outcome!r}")
         if self.post_probability() <= MIN_BRANCH_PROB:
             raise PostselectionError(
                 "the requested final results have zero probability from this preparation"

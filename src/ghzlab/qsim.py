@@ -237,12 +237,8 @@ def make_ghz() -> StateVector:
     return _SharedState(StateVector(3, amps))
 
 
-@lru_cache(maxsize=1)
 def make_singlet() -> StateVector:
-    """Two-site state (|up,down> - |down,up>)/sqrt2.
-
-    States are immutable, so the instance is cached and shared.
-    """
+    """Two-site state (|up,down> - |down,up>)/sqrt2."""
     amps = np.zeros(4, dtype=complex)
     amps[0b10] = _SQRT1_2  # site 0 up, site 1 down
     amps[0b01] = -_SQRT1_2
@@ -449,14 +445,14 @@ def pauli_project(
     The collapsed state is ``None`` when the branch probability is below
     ``MIN_BRANCH_PROB``.
     """
+    return _project(state, (site,), _pauli_outcome(axis, outcome))
+
+
+def _pauli_outcome(axis: Axis, outcome: int) -> tuple:
+    """The basis outcome of ``axis`` with eigenvalue ``outcome``, once both are checked."""
     if type(outcome) is not int or outcome not in (1, -1):
         raise ValueError(f"outcome must be int +1 or -1, got {outcome!r}")
-    return _project(state, (site,), _PAULI_BASIS[axis][outcome == -1])
-
-
-def _product_branch(state: StateVector, obs: ProductObservable, outcome: int) -> np.ndarray:
-    """Unnormalized projection (I + outcome*O)/2 of the state."""
-    return 0.5 * (state.amps + outcome * _apply_factors(state.amps, state.num_sites, obs.factors))
+    return _PAULI_BASIS[axis][outcome == -1]
 
 
 def measure_product(
@@ -464,22 +460,24 @@ def measure_product(
 ) -> tuple[int, StateVector]:
     """Measure a Pauli product as a single +1/-1 observable.
 
-    Projects onto the degenerate eigenspaces (I + o*O)/2, weighs each by its
-    own norm, and renormalizes the drawn one as :func:`product_project` does.
+    Weighs both outcomes by their :func:`product_project` probabilities,
+    draws one, and returns that call's branch for it.
     """
-    branches = [_product_branch(state, obs, o) for o in _OUTCOMES]
-    weights = [float(np.vdot(w, w).real) for w in branches]
-    k = _draw(rnd, _picker(weights))
-    return _OUTCOMES[k], StateVector._renormalized(state.num_sites, branches[k] / math.sqrt(weights[k]))
+    branches = [product_project(state, obs, o) for o in _OUTCOMES]
+    k = _draw(rnd, _picker([p for p, _ in branches]))
+    return _OUTCOMES[k], branches[k][1]
 
 
 def product_project(
     state: StateVector, obs: ProductObservable, outcome: int
 ) -> tuple[float, StateVector | None]:
-    """Probability of a product-observable outcome and the collapsed state."""
+    """Probability of a product-observable outcome and the collapsed state.
+
+    The collapse is the projection (I + outcome*O)/2 over its own norm.
+    """
     if type(outcome) is not int or outcome not in (1, -1):
         raise ValueError(f"outcome must be int +1 or -1, got {outcome!r}")
-    w = _product_branch(state, obs, outcome)
+    w = 0.5 * (state.amps + outcome * _apply_factors(state.amps, state.num_sites, obs.factors))
     p = float(np.vdot(w, w).real)
     if p < MIN_BRANCH_PROB:
         return 0.0, None
@@ -519,12 +517,14 @@ def bell_measure(
 def results_weight(state: StateVector, results: Sequence[tuple[int, Axis, int]]) -> float:
     """Born probability of single-site ``(site, axis, outcome)`` results on distinct sites.
 
-    The results are projected in turn with :func:`pauli_project` and their
+    Every result is checked, as :func:`pauli_project` checks it, before the
+    first is projected, so a result after a dead branch is checked too.  The
+    results are then projected in turn with :func:`pauli_project` and their
     weights multiplied as a running product; a dead branch weighs 0.0.
     """
-    sites = [site for site, _, _ in results]
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be pairwise distinct")
+    _split(state.num_sites, tuple([site for site, _, _ in results]))  # raises on a bad site
+    for _, axis, outcome in results:
+        _pauli_outcome(axis, outcome)
     weight = 1.0
     for site, axis, outcome in results:
         p, state = pauli_project(state, site, axis, outcome)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from ghzlab.prepost import (
     ghz_x_ensemble,
     product_rule_report,
 )
-from ghzlab.qsim import Axis, ProductObservable, make_ghz, pauli_eigenstate
+from ghzlab.qsim import (
+    Axis,
+    ProductObservable,
+    StateVector,
+    make_ghz,
+    pauli_eigenstate,
+    results_weight,
+)
 
 import oracle
 
@@ -46,9 +55,42 @@ def test_ensemble_rejects_post_outcomes_that_are_not_exact_ints():
             ghz_x_ensemble(triple)
 
 
-def test_ensemble_rejects_repeated_sites():
-    with pytest.raises(ValueError):
-        PrePostEnsemble(make_ghz(), ((0, Axis.X, 1), (0, Axis.X, 1)))
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("post", [
+    ((0, Axis.X, 1), (0, Axis.X, 1)),
+    ((0, Axis.X, 1), (0, Axis.X, 5)),  # the sites are checked first
+])
+def test_ensemble_rejects_repeated_sites(post):
+    with pytest.raises(ValueError, match=exactly("sites must be pairwise distinct")):
+        PrePostEnsemble(make_ghz(), post)
+
+
+def test_ensemble_rejects_out_of_range_sites():
+    with pytest.raises(ValueError, match=exactly("site 3 out of range for 3 sites")):
+        PrePostEnsemble(make_ghz(), ((0, Axis.X, 1), (3, Axis.X, 1)))
+
+
+# On |000> the result (0, Z, -1) has a dead branch; the results after it are
+# still checked, with qsim's messages, before anything is projected.
+ZERO = StateVector(3, [1, 0, 0, 0, 0, 0, 0, 0])
+DEAD = (0, Axis.Z, -1)
+
+
+@pytest.mark.parametrize("later, message", [
+    ((1, Axis.X, 5), "outcome must be int +1 or -1, got 5"),
+    ((7, Axis.X, 1), "site 7 out of range for 3 sites"),
+    ((1, "x", 1), "axis must be an Axis, got 'x'"),
+    ((0, Axis.X, 1), "sites must be pairwise distinct"),
+])
+def test_ensemble_rejects_bad_results_after_a_dead_branch(later, message):
+    assert results_weight(ZERO, [DEAD]) == 0.0
+    with pytest.raises(ValueError, match=exactly(message)):
+        results_weight(ZERO, [DEAD, later])
+    with pytest.raises(ValueError, match=exactly(message)):
+        PrePostEnsemble(ZERO, (DEAD, later))
 
 
 def test_ensemble_post_probability():
