@@ -560,10 +560,7 @@ def reduced_density(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     """
     n = state.num_sites
     keep = list(sites)
-    if len(set(keep)) != len(keep):
-        raise ValueError("sites must be pairwise distinct")
-    if any(not 0 <= s < n for s in keep):
-        raise ValueError(f"sites {keep} out of range for {n} sites")
+    _split(n, tuple(keep))  # raises on a bad site
     rest = [s for s in range(n) if s not in keep]
     # view axis n-1-s is site s; the kept sites, last first, become the row bits
     order = [n - 1 - s for s in reversed(rest + keep)]

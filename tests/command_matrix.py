@@ -1,5 +1,11 @@
 """Every command-line run whose output the test suite pins, and its digest.
 
+This is the suite's one table of pinned outputs.  ``COMMANDS`` is, in
+order: every subcommand in every format at three seeds, ``classical-table``
+teams, ``OUT_FILES``, the seeded runs off that grid in ``OFF_GRID`` (other
+trial counts, seeds and η, written with ``--out``), and the rejected
+flags, signs and paths in ``ERRORS``.
+
 Each entry of ``COMMANDS`` is an argv that ``cli.main`` runs in process.
 Its digest is the sha256 of the exit code, stdout, stderr and, for a run
 with ``--out``, the bytes of the file it wrote.  ``test_command_matrix.py``
@@ -82,6 +88,36 @@ OUT_FILES = [
     ("prove", "stapp", "-1", "-1", "-1", "--format", "json", "--out", OUT),
 ]
 
+# Seeded runs off the grid above, each written to a file: other trial
+# counts, seeds and η (0.7937 sits at the efficiency threshold), a
+# classical-table jsonl, the 2389-branch teleport tree at 4096 trials, and
+# 5000 teleport trials, which take 1019 of its 1024 branch paths.
+OFF_GRID = [
+    ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
+     "--format", "jsonl", "--out", OUT),
+    ("game", "--strategy", "lhv", "--trials", "1000", "--seed", "7", "--format", "json", "--out", OUT),
+    ("game", "--strategy", "classical-table", "--table", "1", "-1", "1", "1", "-1", "1",
+     "--trials", "300", "--seed", "7", "--format", "jsonl", "--out", OUT),
+    ("game", "--strategy", "classical-best", "--trials", "300", "--seed", "7", "--format", "json",
+     "--out", OUT),
+    ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
+     "--format", "json", "--out", OUT),
+    ("game", "--strategy", "quantum", "--eta", "0.7937", "--trials", "300", "--seed", "7",
+     "--out", OUT),
+    ("game", "--strategy", "random", "--trials", "300", "--seed", "7", "--out", OUT),
+    ("teleport", "--trials", "128", "--seed", "7", "--format", "json", "--out", OUT),
+    ("teleport", "--trials", "128", "--seed", "7", "--format", "jsonl", "--out", OUT),
+    ("teleport", "--trials", "128", "--seed", "7", "--format", "csv", "--out", OUT),
+    ("teleport", "--trials", "4096", "--seed", "11", "--format", "json", "--out", OUT),
+    ("teleport", "--trials", "1024", "--seed", "3", "--format", "jsonl", "--out", OUT),
+    ("teleport", "--trials", "128", "--seed", "12345", "--out", OUT),
+    ("teleport", "--trials", "5000", "--seed", "12345", "--format", "json", "--out", OUT),
+    ("elements", "1", "1", "-1", "--out", OUT),
+    ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "text", "--out", OUT),
+    ("game", "--strategy", "quantum", "--eta", "0.8", "--trials", "5000", "--seed", "12345",
+     "--format", "jsonl", "--out", OUT),
+]
+
 ERRORS = [
     (),
     ("nonsense",),
@@ -131,7 +167,7 @@ ERRORS = [
     ("play", "--seed", "-1"),
 ]
 
-COMMANDS = _seeded() + _tables() + OUT_FILES + ERRORS
+COMMANDS = _seeded() + _tables() + OUT_FILES + OFF_GRID + ERRORS
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str, str, bytes | None]:

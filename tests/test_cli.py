@@ -423,200 +423,6 @@ def test_teleport_text_counts_unhit_cells(capsys):
     )
 
 
-# sha256 of seeded outputs, one per format the benchmark checks; any change
-# to a seeded output, however small, fails here.
-KNOWN_OUTPUTS = [
-    pytest.param(
-        ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
-         "--format", "jsonl"),
-        "436d91f8737f1d2b3b70c79f1bb09a6bea275c581d2107ade9b10ccf3af49538",
-        id="game-quantum-eta-jsonl",
-    ),
-    pytest.param(
-        ("game", "--strategy", "lhv", "--trials", "1000", "--seed", "7", "--format", "json"),
-        "af7c01ba811133ed7c2b476e04927025b88bb6af50fa9db61437817d6ff677b1",
-        id="game-lhv-json",
-    ),
-    pytest.param(
-        ("game", "--strategy", "classical-table", "--table", "1", "-1", "1", "1", "-1", "1",
-         "--trials", "300", "--seed", "7", "--format", "jsonl"),
-        "49f3406c7bd966cb6373f57740c424799b1d193a0dc481699457c976d84e05d9",
-        id="game-classical-table-jsonl",
-    ),
-    pytest.param(
-        ("game", "--strategy", "classical-best", "--trials", "300", "--seed", "7", "--format", "json"),
-        "c3e4c7664b5aa0bf52b5486e038a9e3225c1e00bf1d0e3eb58428b67ef26ccb1",
-        id="game-classical-best-json",
-    ),
-    pytest.param(
-        ("game", "--strategy", "quantum", "--eta", "0.9", "--trials", "300", "--seed", "7",
-         "--format", "json"),
-        "730241a9126990aad0e1d6f34de94b47573b1fcf20399b2b07f2815101c0c3e6",
-        id="game-quantum-eta-json",
-    ),
-    # text outputs that print a theory value
-    pytest.param(
-        ("game", "--strategy", "quantum", "--eta", "0.7937", "--trials", "300", "--seed", "7"),
-        "ecb128dec29fefb711707910c8e1abc236cddc2db886ebf72de69efb4faa8d54",
-        id="game-quantum-eta-text",
-    ),
-    pytest.param(
-        ("game", "--strategy", "random", "--trials", "300", "--seed", "7"),
-        "527f82cd68df3932ecc82bfdd6fa2ef778a3e4771f0d95cd8a6d653655a4d71b",
-        id="game-random-text",
-    ),
-    pytest.param(
-        ("sweep", "--trials", "200", "--seed", "7", "--format", "text"),
-        "8cca033aaf0c31a045f2a406dcf9ccc306f6f21dae6b1975ce5a6107f61327fc",
-        id="sweep-text",
-    ),
-    pytest.param(
-        ("sweep", "--trials", "200", "--seed", "7", "--format", "csv"),
-        "67f670c9ed3cac37c271609aa590a448cd19aa15f1bfeb2f148a4d2e2ce3eac0",
-        id="sweep-csv",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "128", "--seed", "7", "--format", "json"),
-        "798d822def36341e3d651de1e9b6dca2adc160648feebe278c44afea1d55bac2",
-        id="teleport-json",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "128", "--seed", "7", "--format", "jsonl"),
-        "5632a0b66c3511e8782d5005eb77e3fa7be0d25e538066b7c5d55af0601f06c0",
-        id="teleport-jsonl",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "128", "--seed", "7", "--format", "csv"),
-        "88493f539105fbd1636a564aac8eb6e5be6a4a387e8344ad041c2555cb3e7635",
-        id="teleport-csv",
-    ),
-    # the full tree of 2389 shared branches under build_setup(), and a second seed
-    pytest.param(
-        ("teleport", "--trials", "4096", "--seed", "11", "--format", "json"),
-        "29c006703b463fe158c585f382b0329638e31df6c07a5579652a3b95be62eed6",
-        id="teleport-4096-json",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "1024", "--seed", "3", "--format", "jsonl"),
-        "d3376f19b3b49ee062ef3e17b7d69b7f392126b8fcd034dde0872a1a9f4ccbca",
-        id="teleport-1024-jsonl",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "128", "--seed", "12345"),
-        "59d6030ae349652f963f7b86a25f139b54a8913533934ac235ad10668e3729e4",
-        id="teleport-text",
-    ),
-    # these trials take 1019 of the 1024 branch paths, so almost every shared record is made
-    pytest.param(
-        ("teleport", "--trials", "5000", "--seed", "12345", "--format", "json"),
-        "69c5a9430b27166df505c8fe6ec530851b051c4c0a4b6ae094575f1638800a28",
-        id="teleport-5000-json",
-    ),
-    pytest.param(
-        ("elements", "1", "1", "-1", "--format", "json"),
-        "30920bcc1712cf43dc3977da3b9eae004b91c411847ff79a5949ef0d827798c1",
-        id="elements-json",
-    ),
-    pytest.param(
-        ("prove", "stapp", "1", "1", "-1", "--format", "json"),
-        "195c872496960823dd30b2268a6ee8bffc42806a6bada4f80c51312051320af3",
-        id="prove-stapp-json",
-    ),
-    pytest.param(
-        ("prove", "classical", "--format", "json"),
-        "d3c5881b24a2bf31a6d9f9f0aea60021cd4f37e6a403a6d2af276adc26868d67",
-        id="prove-classical-json",
-    ),
-    # the other reachable triples of both exact commands (p and m name +1 and -1), and text forms
-    pytest.param(
-        ("elements", "1", "-1", "1", "--format", "json"),
-        "187454eb98f29f6b176a0558b8a94dd94a0f0b842c739f2430baa9235497ac47",
-        id="elements-json-pmp",
-    ),
-    pytest.param(
-        ("elements", "-1", "1", "1", "--format", "json"),
-        "20179972a661b385bcfaa26f4ec7cd43fbca3ee353376717fd7153fc13b248cc",
-        id="elements-json-mpp",
-    ),
-    pytest.param(
-        ("elements", "-1", "-1", "-1", "--format", "json"),
-        "a5193929096241095a10701fea278afdf5b481aabe8b7b79c1aca52a372953ab",
-        id="elements-json-mmm",
-    ),
-    pytest.param(
-        ("elements", "1", "1", "-1"),
-        "2d7128253fb3464fc9a7016afb27c2d3d86de3471648326f59a81c9e9222955f",
-        id="elements-text",
-    ),
-    pytest.param(
-        ("prove", "stapp", "1", "-1", "1", "--format", "json"),
-        "f10fa462e29558b8943072fd9e82d2b9237b6cc2a1ee99fcc5a70bf6f9bbd780",
-        id="prove-stapp-json-pmp",
-    ),
-    pytest.param(
-        ("prove", "stapp", "-1", "1", "1", "--format", "json"),
-        "dc1173279e29ad90c217b0fa4e5d2f168254e466666a86c23a5f7c3aea9ace5b",
-        id="prove-stapp-json-mpp",
-    ),
-    pytest.param(
-        ("prove", "stapp", "-1", "-1", "-1", "--format", "json"),
-        "0e2833f93848294fc59f6e0111bc20e13342861fa49ec7e40c31386edbeb078d",
-        id="prove-stapp-json-mmm",
-    ),
-    pytest.param(
-        ("prove", "classical"),
-        "63a3cd0b9bd862dff580c88d95e8378b0a916921f3a6878c0aa9f0246c8b0d2c",
-        id="prove-classical-text",
-    ),
-    pytest.param(
-        ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "jsonl"),
-        "4ae1dd5026f767b9dd80bb35f876142843ffb251b1ef7defe4c489ac12a3a42b",
-        id="game-lhv-jsonl",
-    ),
-    pytest.param(
-        ("game", "--strategy", "lhv", "--trials", "300", "--seed", "7", "--format", "text"),
-        "1d716c44953d2635e1aa93f8ab64d21a524fd4f28b51b327e5ef6c58534144b3",
-        id="game-lhv-text",
-    ),
-    # larger sampled runs: both read the Born pickers of measure_pauli and bell_measure
-    pytest.param(
-        ("game", "--strategy", "quantum", "--eta", "0.8", "--trials", "5000", "--seed", "12345",
-         "--format", "jsonl"),
-        "d501fc3bc7619efe168f3f1e3b39a46ab00a863cd2a7cff9c321ec1fdbd90b40",
-        id="game-quantum-eta-jsonl-5000",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "10000", "--seed", "0", "--format", "json"),
-        "4cef217dd75b459f76a9a86662555897e71bda8b3dcd215cd9b5a80468681fa3",
-        id="teleport-json-10000",
-    ),
-    # jsonl record lines of the strategies and the teleport run no other digest covers
-    pytest.param(
-        ("game", "--strategy", "classical-best", "--trials", "2000", "--seed", "12345",
-         "--format", "jsonl"),
-        "3ecebdc0cf83d8936f61746f1f38620b169760e45e6fa570a936563ef50d4172",
-        id="game-classical-best-jsonl",
-    ),
-    pytest.param(
-        ("game", "--strategy", "random", "--trials", "2000", "--seed", "12345", "--format", "jsonl"),
-        "6ecc720ae4a822959e1ea1c94bc40f138df0c4f28b8ad4313c93f94fb8750369",
-        id="game-random-jsonl",
-    ),
-    pytest.param(
-        ("teleport", "--trials", "10000", "--seed", "12345", "--format", "jsonl"),
-        "3b8c51d1c55474021c9e523938a333fb0c50f91236ab96211fbb55539c775e66",
-        id="teleport-jsonl-10000",
-    ),
-]
-
-
-@pytest.mark.parametrize("argv, digest", KNOWN_OUTPUTS)
-def test_known_answer_outputs(tmp_path, argv, digest):
-    target = tmp_path / "out"
-    assert main([*argv, "--out", str(target)]) == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
-
-
 def jsonl_peak_bytes(path, trials):
     """tracemalloc peak of one ``game --format jsonl`` run, after a warm-up run."""
     argv = ["game", "--format", "jsonl", "--trials", str(trials), "--out", str(path)]

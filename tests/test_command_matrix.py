@@ -2,19 +2,40 @@
 
 The commands and their digests are listed in ``command_matrix.py`` and
 ``command_matrix.tsv``: every subcommand in every format at three seeds,
-``classical-table`` teams, ``--out`` files, and rejected flags, signs and
-paths.  Any byte that moves in any of them fails here.
+``classical-table`` teams, ``--out`` files, seeded runs off that grid
+(``OFF_GRID``), and rejected flags, signs and paths.  This is the one
+table of pinned outputs; any byte that moves in any of them fails here.
 """
+
+import argparse
 
 import pytest
 
 import command_matrix
+from ghzlab import cli
 
 TABLE = command_matrix.load_table()
 
 
 def test_table_lists_exactly_the_commands():
     assert list(TABLE) == [command_matrix.key(argv) for argv in command_matrix.COMMANDS]
+
+
+def test_every_format_of_every_subcommand_is_pinned():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wanted = set()
+    for name, sub in subparsers.choices.items():
+        if name != "play":
+            fmt = sub._option_string_actions.get("--format")
+            wanted.update((name, f) for f in (fmt.choices if fmt else (None,)))
+    pinned = set()
+    for argv in command_matrix.COMMANDS:
+        if argv not in command_matrix.ERRORS:
+            args = parser.parse_args(argv)  # an argv without --format counts as the default
+            pinned.add((args.command, getattr(args, "format", None)))
+    assert len(wanted) >= 14  # the 14 pairs of subcommand and format the parser offers today
+    assert wanted - pinned == set()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 from unittest import mock
 
@@ -532,6 +533,19 @@ def test_reduced_density_matches_oracle():
         want = oracle.reduced_density(psi.amps, keep, 4)
         assert np.allclose(got, want, atol=1e-12)
         assert_valid_density(got)
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ([1, 1], "sites must be pairwise distinct"),
+        ([0, 3], "site 3 out of range for 3 sites"),
+        ([-1], "site -1 out of range for 3 sites"),
+    ],
+)
+def test_reduced_density_checks_sites_as_other_entry_points(keep, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reduced_density(make_ghz(), keep)
 
 
 def test_remote_measurement_leaves_local_density_unchanged():
