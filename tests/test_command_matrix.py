@@ -5,6 +5,9 @@ The commands and their digests are listed in ``command_matrix.py`` and
 ``classical-table`` teams, ``--out`` files, seeded runs off that grid
 (``OFF_GRID``), and rejected flags, signs and paths.  This is the one
 table of pinned outputs; any byte that moves in any of them fails here.
+Where a pin holds stdout, the same run with ``--out`` must write those
+bytes to its file, which is checked once for every format of every
+subcommand.
 """
 
 import argparse
@@ -38,6 +41,19 @@ def test_every_format_of_every_subcommand_is_pinned():
     assert wanted - pinned == set()
 
 
+def _first_argv_of_each_format():
+    """The first seeded argv on the grid for each pair of subcommand and format, keyed by the pair."""
+    parser = cli.build_parser()
+    firsts = {}
+    for argv in command_matrix._seeded():
+        args = parser.parse_args(argv)
+        firsts.setdefault(f"{args.command}-{args.format}", argv)
+    return firsts
+
+
+FIRSTS = _first_argv_of_each_format()
+
+
 @pytest.fixture(scope="module")
 def scratch():
     with command_matrix.scratch_directory():
@@ -50,3 +66,12 @@ def test_command_output_is_pinned(scratch, argv):
     assert command_matrix.digest(code, out, err, written) == TABLE[command_matrix.key(argv)], (
         code, out[:400], err, written and written[:400],
     )
+
+
+# Many pins hold stdout where an older pin held the --out file; this keeps
+# the two the same bytes, in every format of every subcommand.
+@pytest.mark.parametrize("argv", FIRSTS.values(), ids=FIRSTS.keys())
+def test_out_file_holds_the_bytes_stdout_prints(scratch, argv):
+    code, out, err, _ = command_matrix.run(argv)
+    assert (code, err) == (0, "")
+    assert command_matrix.run((*argv, "--out", command_matrix.OUT)) == (0, "", "", out.encode())
